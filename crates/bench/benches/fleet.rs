@@ -9,8 +9,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use platform::{Application, Mapping, SystemSpec};
 use runtime::{
-    run_fleet_requests, seeded_fleet_requests, FleetConfig, FleetManager, JournalReplayer,
-    RoutingPolicy,
+    run_stack, seeded_fleet_requests, FleetConfig, FleetManager, JournalReplayer, RoutingPolicy,
 };
 use sdf::figure2_graphs;
 
@@ -74,7 +73,7 @@ fn bench_journal_replay(c: &mut Criterion) {
     )
     .expect("valid fleet");
     let stream = seeded_fleet_requests(&spec, GROUPS, 200, 2026);
-    run_fleet_requests(&fleet, stream, 1);
+    run_stack(&fleet, Some(&fleet), stream, 1, None);
     let journal = runtime::Journal::parse(&fleet.journal().render()).expect("round-trips");
     println!(
         "replaying {} recorded decisions per iteration:",

@@ -1,16 +1,17 @@
 //! Telemetry-subsystem cost: what instrumentation adds to the hot path.
 //!
 //! Measures (a) the full admission stack with and without the `Traced`
-//! flight-recorder shell at 8 worker threads — the acceptance bar is
-//! traced staying within ~10% of untraced — and (b) the raw record
+//! layer (flight recorder plus per-op latency histograms) at 8 worker
+//! threads — the acceptance bar is traced staying within ~10% of
+//! untraced — and (b) the raw record
 //! primitives underneath it (bounded histogram, atomic recorder, trace
 //! ring), which bound the per-event cost every layer pays.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use platform::{Application, Mapping, SystemSpec};
 use runtime::{
-    run_fleet_stack, seeded_fleet_requests, Cached, FleetConfig, FleetManager, HistogramRecorder,
-    LatencyHistogram, Metered, RoutingPolicy, TraceEvent, TraceKind, TraceRecorder, Traced,
+    run_stack, seeded_fleet_requests, Cached, FleetConfig, FleetManager, HistogramRecorder,
+    LatencyHistogram, RoutingPolicy, TraceEvent, TraceKind, TraceRecorder, Traced,
 };
 use sdf::figure2_graphs;
 use std::hint::black_box;
@@ -39,29 +40,41 @@ fn fleet() -> FleetManager {
 }
 
 fn bench_traced_overhead(c: &mut Criterion) {
-    println!("\n===== Traced flight-recorder overhead at {THREADS} threads =====");
-    println!("{REQUESTS} seeded admissions through Metered<Cached<FleetManager>> per sample;");
-    println!("traced adds the ring-buffer shell and must stay within ~10% of untraced:");
+    println!("\n===== Traced layer overhead at {THREADS} threads =====");
+    println!("{REQUESTS} seeded admissions through Cached<FleetManager> per sample;");
+    println!("traced adds the ring buffer and op timing and must stay within ~10% of untraced:");
 
     let spec = spec();
     let mut group = c.benchmark_group("traced_overhead");
     group.sample_size(15);
 
     let untraced_fleet = fleet();
-    let untraced = Metered::new(Cached::new(untraced_fleet.clone(), 64));
+    let untraced = Cached::new(untraced_fleet.clone(), 64);
     group.bench_function("untraced_8threads", |b| {
         b.iter(|| {
             let stream = seeded_fleet_requests(&spec, GROUPS, REQUESTS, 7);
-            black_box(run_fleet_stack(&untraced, &untraced_fleet, stream, THREADS));
+            black_box(run_stack(
+                &untraced,
+                Some(&untraced_fleet),
+                stream,
+                THREADS,
+                None,
+            ));
         });
     });
 
     let traced_fleet = fleet();
-    let traced = Traced::new(Metered::new(Cached::new(traced_fleet.clone(), 64)), 4096);
+    let traced = Traced::new(Cached::new(traced_fleet.clone(), 64), 4096);
     group.bench_function("traced_8threads", |b| {
         b.iter(|| {
             let stream = seeded_fleet_requests(&spec, GROUPS, REQUESTS, 7);
-            black_box(run_fleet_stack(&traced, &traced_fleet, stream, THREADS));
+            black_box(run_stack(
+                &traced,
+                Some(&traced_fleet),
+                stream,
+                THREADS,
+                None,
+            ));
         });
     });
     group.finish();

@@ -152,16 +152,6 @@ impl fmt::Display for AdmissionOutcome {
 }
 
 impl AdmissionOutcome {
-    /// `true` iff the application was admitted.
-    #[deprecated(
-        since = "0.1.0",
-        note = "divergent per-type helper; convert to the shared \
-                `runtime::AdmissionDecision` (or match the variant directly)"
-    )]
-    pub fn is_admitted(&self) -> bool {
-        matches!(self, AdmissionOutcome::Admitted { .. })
-    }
-
     /// The assigned id, if admitted.
     pub fn admitted_id(&self) -> Option<AppId> {
         match self {

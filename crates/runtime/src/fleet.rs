@@ -335,16 +335,6 @@ pub enum FleetAdmission {
 }
 
 impl FleetAdmission {
-    /// `true` iff admitted.
-    #[deprecated(
-        since = "0.1.0",
-        note = "divergent per-type helper; use `ticket()`, match the variant, \
-                or convert to the shared `AdmissionDecision` via `From`"
-    )]
-    pub fn is_admitted(&self) -> bool {
-        matches!(self, FleetAdmission::Admitted(_))
-    }
-
     /// The ticket, if admitted.
     pub fn ticket(self) -> Option<FleetTicket> {
         match self {

@@ -3,13 +3,14 @@
 //!
 //! [`seeded_fleet_requests`] produces a deterministic
 //! admit/release/rebalance/estimate stream for a workload spec;
-//! [`run_fleet_stack`] drains it through **any**
-//! [`AdmissionService`] stack layered over a [`FleetManager`] on a worker
-//! pool (single-threaded runs are fully deterministic, which is what the
-//! replay tests record), and [`run_fleet_requests`] is the bare-fleet
-//! convenience. Every decision the run makes lands in the fleet's journal,
-//! including the final drain of still-held residents, so a recorded
-//! journal always ends on an empty fleet.
+//! [`run_stack`] drains it through **any** [`AdmissionService`] stack —
+//! over a local [`FleetManager`], a sharded
+//! [`ResourceManager`](crate::ResourceManager) or a
+//! [`RemoteClient`](crate::RemoteClient) — on a worker pool
+//! (single-threaded runs are fully deterministic, which is what the
+//! replay tests record). Every decision the run makes lands in the
+//! fleet's journal, including the final drain of still-held residents, so
+//! a recorded journal always ends on an empty fleet.
 
 use crate::cache::lock;
 use crate::fleet::{FleetManager, FleetSnapshot};
@@ -181,7 +182,7 @@ pub struct TelemetryPoint {
     /// Residents released so far.
     pub released: u64,
     /// Median admit latency (µs) over the whole run so far; 0 without a
-    /// [`Metered`](crate::Metered) layer in the driven stack.
+    /// [`Traced`](crate::Traced) layer in the driven stack.
     pub admit_p50_us: u64,
     /// 99th-percentile admit latency (µs) so far.
     pub admit_p99_us: u64,
@@ -224,7 +225,7 @@ impl TelemetryPoint {
     ) -> TelemetryPoint {
         let telemetry = service.telemetry();
         let service = &telemetry.service;
-        let admit = telemetry.histogram("metered", "admit");
+        let admit = telemetry.histogram("traced", "admit");
         TelemetryPoint {
             t_ms: u64::try_from(start.elapsed().as_millis()).unwrap_or(u64::MAX),
             residents: service.residents as u64,
@@ -240,112 +241,36 @@ impl TelemetryPoint {
     }
 }
 
-/// [`run_fleet_stack`] over the bare fleet (no middleware): admissions are
-/// dispatched through the fleet's own [`AdmissionService`] implementation.
-pub fn run_fleet_requests(
-    fleet: &FleetManager,
-    requests: Vec<FleetRequest>,
-    threads: usize,
-) -> FleetBenchReport {
-    run_fleet_stack(fleet, fleet, requests, threads)
-}
-
-/// [`run_fleet_stack`] with a telemetry sampler: a side thread snapshots
-/// the stack's live telemetry every `sample_every` while the workers
-/// drain, closing the trajectory with one final post-drain point. The
-/// sampler reads the same [`telemetry`](AdmissionService::telemetry)
-/// surface `probcon top` polls, so the trajectory shows exactly what a
-/// live observer would have seen.
-pub fn run_fleet_stack_sampled(
-    service: &dyn AdmissionService,
-    fleet: &FleetManager,
-    requests: Vec<FleetRequest>,
-    threads: usize,
-    sample_every: Duration,
-) -> (FleetBenchReport, Vec<TelemetryPoint>) {
-    run_stack_inner(
-        service,
-        Some(fleet),
-        requests,
-        threads,
-        Some(sample_every),
-        None,
-    )
-}
-
-/// [`run_service_requests`] with a telemetry sampler — the fleetless
-/// (e.g. [`RemoteClient`](crate::RemoteClient)) counterpart of
-/// [`run_fleet_stack_sampled`].
-pub fn run_service_requests_sampled(
-    service: &dyn AdmissionService,
-    requests: Vec<FleetRequest>,
-    threads: usize,
-    sample_every: Duration,
-) -> (FleetBenchReport, Vec<TelemetryPoint>) {
-    run_stack_inner(service, None, requests, threads, Some(sample_every), None)
-}
-
-/// [`run_service_requests_sampled`] with a per-connection fan-in
-/// sampler: each trajectory point additionally carries one
-/// [`ConnectionPoint`] per client connection, read through
-/// `connections` — the engine behind
-/// `probcon fleet-bench --connect --connections N --telemetry`.
-pub fn run_service_requests_sampled_with(
-    service: &dyn AdmissionService,
-    requests: Vec<FleetRequest>,
-    threads: usize,
-    sample_every: Duration,
-    connections: Option<ConnectionSampler<'_>>,
-) -> (FleetBenchReport, Vec<TelemetryPoint>) {
-    run_stack_inner(
-        service,
-        None,
-        requests,
-        threads,
-        Some(sample_every),
-        connections,
-    )
-}
-
-/// [`run_fleet_stack`] for a service with **no local fleet** — a
-/// [`RemoteClient`](crate::RemoteClient) or any other stack whose fleet
-/// lives elsewhere. [`FleetRequest::Rebalance`] passes become snapshot
-/// probes (rebalancing is a fleet operation the wire does not carry), and
-/// the report's [`snapshot`](FleetBenchReport::snapshot) is `None`; the
-/// fleet's own counters still arrive through the stack snapshot's layers.
-pub fn run_service_requests(
-    service: &dyn AdmissionService,
-    requests: Vec<FleetRequest>,
-    threads: usize,
-) -> FleetBenchReport {
-    run_stack_inner(service, None, requests, threads, None, None).0
-}
-
-/// Executes `requests` against `service` — any [`AdmissionService`] stack
-/// layered over `fleet` — on `threads` workers and reports the run's
-/// metrics. Admissions, releases and estimates go through the stack;
-/// rebalance passes go to the fleet directly (rebalancing is a fleet
-/// operation, not a service one). Residents admitted during the run are
-/// held in a shared pool (drained oldest-first by `Release` requests) and
-/// all released when the run ends, so the journal closes on an empty
-/// fleet. With `threads == 1` the run — and therefore the journal — is
-/// fully deterministic.
-pub fn run_fleet_stack(
-    service: &dyn AdmissionService,
-    fleet: &FleetManager,
-    requests: Vec<FleetRequest>,
-    threads: usize,
-) -> FleetBenchReport {
-    run_stack_inner(service, Some(fleet), requests, threads, None, None).0
-}
-
-fn run_stack_inner(
+/// Executes `requests` against `service` on `threads` workers and
+/// reports the run's metrics.
+///
+/// Admissions, releases and estimates go through the stack. Rebalance
+/// passes go to `fleet` directly (rebalancing is a fleet operation, not a
+/// service one); without a local fleet — a sharded
+/// [`ResourceManager`](crate::ResourceManager), a
+/// [`RemoteClient`](crate::RemoteClient) — they become snapshot probes,
+/// and the report's [`snapshot`](FleetBenchReport::snapshot) is `None`.
+/// Residents admitted during the run are held in a shared pool (drained
+/// oldest-first by `Release` requests) and all released when the run
+/// ends, so the journal closes on an empty fleet. With `threads == 1` the
+/// run — and therefore the journal — is fully deterministic.
+///
+/// With `sampling = Some((every, connections))`, a side thread snapshots
+/// the stack's live [`telemetry`](AdmissionService::telemetry) every
+/// `every` while the workers drain, closing the trajectory with one final
+/// point; `connections`, when given, adds per-connection fan-in to each
+/// point. Without sampling the returned trajectory is empty.
+///
+/// # Panics
+///
+/// Re-raises the panic of any worker whose call into `service` panicked:
+/// a report would otherwise count requests that never ran.
+pub fn run_stack(
     service: &dyn AdmissionService,
     fleet: Option<&FleetManager>,
     requests: Vec<FleetRequest>,
     threads: usize,
-    sample_every: Option<Duration>,
-    connections: Option<ConnectionSampler<'_>>,
+    sampling: Option<(Duration, Option<ConnectionSampler<'_>>)>,
 ) -> (FleetBenchReport, Vec<TelemetryPoint>) {
     let threads = threads.max(1);
     let total = requests.len();
@@ -356,7 +281,7 @@ fn run_stack_inner(
 
     let start = Instant::now();
     let wall = std::thread::scope(|scope| {
-        if let Some(interval) = sample_every {
+        if let Some((interval, connections)) = sampling {
             let interval = interval.max(Duration::from_millis(1));
             // Poll the stop flag at a finer grain than the sample interval
             // so a finished run is not held open for a whole period.
@@ -437,13 +362,19 @@ fn run_stack_inner(
                 })
             })
             .collect();
+        let mut panicked = None;
         for worker in workers {
-            let _ = worker.join();
+            if let Err(payload) = worker.join() {
+                panicked.get_or_insert(payload);
+            }
         }
         let wall = start.elapsed();
         // Stop the sampler only after the workers are done so its final
         // point reflects the fully-executed stream.
         done.store(true, Ordering::Release);
+        if let Some(payload) = panicked {
+            std::panic::resume_unwind(payload);
+        }
         wall
     });
 
@@ -479,9 +410,13 @@ fn run_stack_inner(
 mod tests {
     use super::*;
     use crate::fleet::{FleetConfig, RoutingPolicy};
-    use crate::service::{Cached, Metered};
+    use crate::manager::{ResourceManager, ResourceManagerConfig};
+    use crate::service::{Cached, ServiceError};
+    use crate::telemetry::Traced;
+    use contention::Estimate;
     use platform::{Application, Mapping};
     use sdf::figure2_graphs;
+    use std::sync::Arc;
 
     fn spec() -> SystemSpec {
         let (a, b) = figure2_graphs();
@@ -535,7 +470,14 @@ mod tests {
             FleetConfig::uniform(2, 1, 3, RoutingPolicy::LeastUtilised),
         )
         .unwrap();
-        let report = run_fleet_requests(&fleet, seeded_fleet_requests(&spec, 2, 120, 5), 1);
+        let (report, points) = run_stack(
+            &fleet,
+            Some(&fleet),
+            seeded_fleet_requests(&spec, 2, 120, 5),
+            1,
+            None,
+        );
+        assert!(points.is_empty());
         assert_eq!(report.requests, 120);
         assert!(
             report.snapshot.as_ref().is_some_and(|s| s.admitted > 0),
@@ -560,13 +502,13 @@ mod tests {
             FleetConfig::uniform(2, 1, 3, RoutingPolicy::LeastUtilised),
         )
         .unwrap();
-        let stack = Metered::new(Cached::new(fleet.clone(), 32));
-        let (report, points) = run_fleet_stack_sampled(
+        let stack = Traced::new(Cached::new(fleet.clone(), 32), 64);
+        let (report, points) = run_stack(
             &stack,
-            &fleet,
+            Some(&fleet),
             seeded_fleet_requests(&spec, 2, 400, 5),
             2,
-            Duration::from_millis(1),
+            Some((Duration::from_millis(1), None)),
         );
         assert_eq!(report.requests, 400);
         // At least the closing point lands, and time never runs backwards.
@@ -594,25 +536,88 @@ mod tests {
             FleetConfig::uniform(2, 1, 3, RoutingPolicy::LeastUtilised),
         )
         .unwrap();
-        let _ = run_fleet_requests(&bare, requests.clone(), 1);
+        let _ = run_stack(&bare, Some(&bare), requests.clone(), 1, None);
 
         let fleet = FleetManager::new(
             spec.clone(),
             FleetConfig::uniform(2, 1, 3, RoutingPolicy::LeastUtilised),
         )
         .unwrap();
-        let stack = Metered::new(Cached::new(fleet.clone(), 32));
-        let report = run_fleet_stack(&stack, &fleet, requests, 1);
+        let stack = Traced::new(Cached::new(fleet.clone(), 32), 64);
+        let (report, _) = run_stack(&stack, Some(&fleet), requests, 1, None);
 
         // Middleware is decision-transparent: the journals agree event for
         // event with the bare run.
         assert_eq!(fleet.journal().events(), bare.journal().events());
         // ... and the stack surfaced cache + latency metrics.
         assert!(report.stack.counter("cached", "misses").unwrap_or(0) > 0);
-        assert!(report.stack.counter("metered", "operations").unwrap_or(0) > 0);
+        assert!(report.stack.counter("traced", "operations").unwrap_or(0) > 0);
         let text = report.render();
-        for needle in ["cached", "metered", "hits"] {
+        for needle in ["cached", "traced", "hits"] {
             assert!(text.contains(needle), "missing {needle} in:\n{text}");
+        }
+    }
+
+    #[test]
+    fn run_drives_a_bare_sharded_manager_without_a_fleet() {
+        let spec = spec();
+        let manager = ResourceManager::new(ResourceManagerConfig::default());
+        manager.bind_workload(spec.clone());
+        let requests = seeded_fleet_requests(&spec, 1, 120, 42);
+        let (report, _) = run_stack(&manager, None, requests, 4, None);
+        assert_eq!((report.requests, report.threads), (120, 4));
+        assert!(report.snapshot.is_none());
+        assert!(report.stack.admitted > 0, "{report:?}");
+        // No Cached layer: estimates still serve, no cache counters appear.
+        assert_eq!(report.stack.counter("cached", "hits"), None);
+        assert_eq!(manager.resident_count(), 0);
+    }
+
+    /// Admits panic; every other operation forwards to a real fleet.
+    struct PanickingAdmit(FleetManager);
+
+    impl AdmissionService for PanickingAdmit {
+        fn admit(&self, _: &AdmissionRequest) -> Result<AdmissionDecision, ServiceError> {
+            panic!("admit exploded");
+        }
+
+        fn release(&self, resident: u64) -> Result<(), ServiceError> {
+            AdmissionService::release(&self.0, resident)
+        }
+
+        fn snapshot(&self) -> ServiceSnapshot {
+            AdmissionService::snapshot(&self.0)
+        }
+
+        fn workload(&self) -> Option<&SystemSpec> {
+            AdmissionService::workload(&self.0)
+        }
+
+        fn estimate(
+            &self,
+            use_case: UseCase,
+            method: Method,
+        ) -> Result<Arc<Estimate>, ServiceError> {
+            AdmissionService::estimate(&self.0, use_case, method)
+        }
+    }
+
+    #[test]
+    fn a_panicking_service_fails_the_run_instead_of_reporting_it() {
+        let spec = spec();
+        let fleet = FleetManager::new(
+            spec.clone(),
+            FleetConfig::uniform(2, 1, 3, RoutingPolicy::LeastUtilised),
+        )
+        .unwrap();
+        let service = PanickingAdmit(fleet.clone());
+        let requests = seeded_fleet_requests(&spec, 2, 60, 5);
+        for sampling in [None, Some((Duration::from_millis(1), None))] {
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_stack(&service, Some(&fleet), requests.clone(), 2, sampling)
+            }));
+            let payload = run.expect_err("a worker panic must fail the run");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"admit exploded"));
         }
     }
 }

@@ -15,7 +15,7 @@
 //! [`admit`](AdmissionService::admit) submits and waits, and its
 //! [`snapshot`](AdmissionService::snapshot) appends a `"front-end"` layer
 //! with queue depth/latency metrics. Stacks therefore nest:
-//! `FrontEnd` over `Metered<Cached<FleetManager>>` is just another service.
+//! `FrontEnd` over `Traced<Cached<FleetManager>>` is just another service.
 //!
 //! # Example
 //!

@@ -11,9 +11,6 @@
 //! * [`EstimateCache`] — LRU memoization of [`contention::estimate`]
 //!   results keyed by (spec fingerprint, use-case mask, method), with
 //!   observable hit/miss counters;
-//! * [`BatchExecutor`] — a worker-thread-pool request drain reporting
-//!   throughput, per-class latency order statistics and rejection counts
-//!   (the engine behind `probcon serve-bench`);
 //! * [`FleetManager`] — admissions routed across many named platform
 //!   groups ([`RoutingPolicy`]: least-utilised, round-robin,
 //!   affinity-by-use-case) with cross-group rebalancing and fleet-wide
@@ -25,7 +22,11 @@
 //!   `probcon replay`);
 //! * [`AdmissionService`] — the unified service trait both managers
 //!   implement, with composable middleware layers [`Cached`],
-//!   [`Journaled`] and [`Metered`] (see [`service`]);
+//!   [`Journaled`] and [`Traced`] (see [`service`]);
+//! * [`run_stack`] — the one request driver: a worker pool draining a
+//!   [`seeded_fleet_requests`] stream through any service stack,
+//!   reporting throughput, per-layer metrics and an optional telemetry
+//!   trajectory (the engine behind `probcon fleet-bench`);
 //! * [`FrontEnd`] — the async event-loop front-end multiplexing thousands
 //!   of queued admissions over a small worker pool, delivering decisions
 //!   through [`Completion`] tickets (see [`frontend`]);
@@ -35,10 +36,10 @@
 //!   processes and every existing driver works against it unchanged (see
 //!   [`remote`]);
 //! * [`Traced`] / [`TraceRecorder`] / [`TelemetrySnapshot`] — the
-//!   telemetry subsystem: a fixed-capacity flight recorder of structured
-//!   decision events, bounded HDR-style [`LatencyHistogram`]s replacing
-//!   unbounded sample vectors, and a wire-exposed live-metrics surface
-//!   with Prometheus-style rendering (see [`telemetry`], the engine
+//!   telemetry subsystem: the one layer that times every operation, a
+//!   fixed-capacity flight recorder of structured decision events,
+//!   bounded HDR-style [`LatencyHistogram`]s, and a wire-exposed
+//!   live-metrics surface with Prometheus-style rendering (see [`telemetry`], the engine
 //!   behind `probcon top` / `probcon trace`);
 //! * [`PlanRun`] / [`PlanSweep`] — the offline capacity planner: replay
 //!   any recorded journal against hypothetical [`FleetShape`]s (scaled
@@ -83,7 +84,6 @@
 
 pub mod autoscaler;
 pub mod cache;
-pub mod executor;
 pub mod fleet;
 pub mod fleet_bench;
 pub mod frontend;
@@ -101,15 +101,13 @@ pub use autoscaler::{
     GroupObservation, Observation, ScaleDecision, ScalePolicy, TargetPolicy,
 };
 pub use cache::{CacheKey, EstimateCache};
-pub use executor::{seeded_requests, BatchExecutor, BatchReport, Request};
 pub use fleet::{
     FleetAdmission, FleetConfig, FleetError, FleetManager, FleetSnapshot, FleetTicket, GroupConfig,
     GroupSnapshot, RebalanceMove, RoutingPolicy,
 };
 pub use fleet_bench::{
-    run_fleet_requests, run_fleet_stack, run_fleet_stack_sampled, run_service_requests,
-    run_service_requests_sampled, run_service_requests_sampled_with, seeded_fleet_requests,
-    ConnectionPoint, ConnectionSampler, FleetBenchReport, FleetRequest, TelemetryPoint,
+    run_stack, seeded_fleet_requests, ConnectionPoint, ConnectionSampler, FleetBenchReport,
+    FleetRequest, TelemetryPoint,
 };
 pub use frontend::{FrontEnd, FrontEndConfig};
 pub use journal::{
@@ -120,13 +118,11 @@ pub use journal::{
 pub use manager::{
     Admission, AdmitError, QueueMode, ResourceManager, ResourceManagerConfig, Ticket,
 };
-pub use metrics::{LatencySummary, RuntimeMetrics};
+pub use metrics::RuntimeMetrics;
 pub use planner::{
     FleetShape, Flip, FlipKind, GroupUsage, OutcomeTotals, PlanError, PlanReport, PlanRun,
     PlanSweep, PolicyDecision, RouteMode, SaturationWindow, SweepReport,
 };
-#[allow(deprecated)]
-pub use remote::RemoteAddr;
 pub use remote::{
     BinaryCodec, ClientConfig, Endpoint, JournalSource, JsonLinesCodec, RemoteClient,
     RemoteClientStats, RemoteServer, RemoteServerConfig, RemoteServerStats, WireCodec, WireMode,
@@ -134,12 +130,12 @@ pub use remote::{
 };
 pub use service::{
     AdmissionDecision, AdmissionRequest, AdmissionService, Cached, Completer, Completion,
-    Journaled, LayerMetrics, Metered, OpRate, ServiceError, ServiceOp, ServiceSnapshot,
+    Journaled, LayerMetrics, OpRate, ServiceError, ServiceSnapshot,
 };
 pub use telemetry::{
     build_span_trees, render_chrome_trace, ConnectionStats, EventLoopStats, HistogramRecorder,
-    LatencyHistogram, OpHistogram, SpanContext, SpanNode, SpanScope, SpanTree, TelemetrySnapshot,
-    TenantBreakdown, TraceEvent, TraceKind, TraceRecorder, TraceStats, Traced,
+    LatencyHistogram, OpHistogram, ServiceOp, SpanContext, SpanNode, SpanScope, SpanTree,
+    TelemetrySnapshot, TenantBreakdown, TraceEvent, TraceKind, TraceRecorder, TraceStats, Traced,
 };
 pub use wal::{
     CheckpointGroup, CheckpointResident, FleetCheckpoint, FsyncPolicy, Manifest, SegmentMeta,

@@ -116,16 +116,6 @@ pub enum Admission {
 }
 
 impl Admission {
-    /// `true` iff admitted.
-    #[deprecated(
-        since = "0.1.0",
-        note = "divergent per-type helper; use `ticket()`, match the variant, \
-                or go through the shared `AdmissionDecision`"
-    )]
-    pub fn is_admitted(&self) -> bool {
-        matches!(self, Admission::Admitted(_))
-    }
-
     /// The ticket, if admitted.
     pub fn ticket(self) -> Option<Ticket> {
         match self {

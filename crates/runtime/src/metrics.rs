@@ -1,4 +1,4 @@
-//! Shared counters and latency summaries for the online resource manager.
+//! Shared outcome counters for the online resource manager.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -99,83 +99,9 @@ impl RuntimeMetrics {
     }
 }
 
-/// Order statistics over a set of request latencies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct LatencySummary {
-    /// Number of samples.
-    pub count: u64,
-    /// Minimum latency.
-    pub min: Duration,
-    /// Arithmetic mean.
-    pub mean: Duration,
-    /// Median (50th percentile).
-    pub p50: Duration,
-    /// 90th percentile.
-    pub p90: Duration,
-    /// 95th percentile.
-    pub p95: Duration,
-    /// 99th percentile.
-    pub p99: Duration,
-    /// 99.9th percentile.
-    pub p999: Duration,
-    /// Maximum latency.
-    pub max: Duration,
-}
-
-impl LatencySummary {
-    /// Summarizes latencies given in microseconds. Returns the zero summary
-    /// for an empty slice.
-    pub fn from_micros(samples: &mut [u64]) -> LatencySummary {
-        if samples.is_empty() {
-            return LatencySummary::default();
-        }
-        samples.sort_unstable();
-        let count = samples.len() as u64;
-        let total: u64 = samples.iter().sum();
-        let percentile = |p: usize| {
-            let rank = (samples.len() - 1) * p / 1000;
-            Duration::from_micros(samples[rank])
-        };
-        LatencySummary {
-            count,
-            min: Duration::from_micros(samples[0]),
-            mean: Duration::from_micros(total / count),
-            p50: percentile(500),
-            p90: percentile(900),
-            p95: percentile(950),
-            p99: percentile(990),
-            p999: percentile(999),
-            max: Duration::from_micros(samples[samples.len() - 1]),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn latency_summary_order_statistics() {
-        let mut micros: Vec<u64> = (1..=100).rev().collect();
-        let s = LatencySummary::from_micros(&mut micros);
-        assert_eq!(s.count, 100);
-        assert_eq!(s.min, Duration::from_micros(1));
-        assert_eq!(s.max, Duration::from_micros(100));
-        assert_eq!(s.p50, Duration::from_micros(50));
-        assert_eq!(s.p90, Duration::from_micros(90));
-        assert_eq!(s.p95, Duration::from_micros(95));
-        assert_eq!(s.p99, Duration::from_micros(99));
-        assert_eq!(s.p999, Duration::from_micros(99));
-        assert_eq!(s.mean, Duration::from_micros(50));
-    }
-
-    #[test]
-    fn empty_summary_is_zero() {
-        assert_eq!(
-            LatencySummary::from_micros(&mut []),
-            LatencySummary::default()
-        );
-    }
 
     #[test]
     fn metrics_accumulate() {

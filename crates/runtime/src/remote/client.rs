@@ -67,7 +67,6 @@ enum PendingOp {
     Release(Completer<()>),
     Snapshot(Completer<ServiceSnapshot>),
     Estimate(Completer<Arc<Estimate>>),
-    Journal(Completer<String>),
     JournalPage(Completer<JournalPage>),
     Telemetry(Completer<TelemetrySnapshot>),
     Trace(Completer<Vec<TraceEvent>>),
@@ -80,7 +79,6 @@ impl PendingOp {
             PendingOp::Release(c) => c.complete(Err(error)),
             PendingOp::Snapshot(c) => c.complete(Err(error)),
             PendingOp::Estimate(c) => c.complete(Err(error)),
-            PendingOp::Journal(c) => c.complete(Err(error)),
             PendingOp::JournalPage(c) => c.complete(Err(error)),
             PendingOp::Telemetry(c) => c.complete(Err(error)),
             PendingOp::Trace(c) => c.complete(Err(error)),
@@ -101,7 +99,6 @@ impl PendingOp {
             (PendingOp::Estimate(c), WireBody::Estimate(estimate)) => {
                 c.complete(Ok(Arc::new(estimate)));
             }
-            (PendingOp::Journal(c), WireBody::Journal(text)) => c.complete(Ok(text)),
             (PendingOp::JournalPage(c), WireBody::JournalPage(page)) => c.complete(Ok(page)),
             (PendingOp::Telemetry(c), WireBody::Telemetry(telemetry)) => {
                 c.complete(Ok(*telemetry));
@@ -644,24 +641,6 @@ impl RemoteClient {
         }
         Journal::parse(&text)
             .map_err(|e: JournalError| ServiceError::Config(format!("fetched journal: {e}")))
-    }
-
-    /// Fetches the server-side journal rendered as one JSON-lines string,
-    /// in a single response frame ([`WireOp::Journal`]).
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::Transport`] on connection failure,
-    /// [`ServiceError::Config`] when the server records no journal.
-    #[deprecated(
-        note = "single-frame fetch caps at the transport's maximum frame size; \
-                use the paged `fetch_journal` (and `Journal::render` for text)"
-    )]
-    pub fn fetch_journal_text(&self) -> Result<String, ServiceError> {
-        let (completer, completion) = Completion::pending();
-        self.shared
-            .send(WireOp::Journal, PendingOp::Journal(completer));
-        completion.wait()
     }
 
     /// Closes the connection: the socket is shut down through a handle

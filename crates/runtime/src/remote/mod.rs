@@ -11,8 +11,8 @@
 //!   and drives any `Arc<dyn AdmissionService>`, so a stack like
 //!   `Journaled<Cached<FleetManager>>` serves over the wire unchanged;
 //! * [`RemoteClient`] *implements* the trait, so the
-//!   [`FrontEnd`](crate::FrontEnd), [`BatchExecutor`](crate::BatchExecutor)
-//!   and every existing bench/driver work against a remote fleet with zero
+//!   [`FrontEnd`](crate::FrontEnd), [`run_stack`](crate::run_stack) and
+//!   every existing bench/driver work against a remote fleet with zero
 //!   changes.
 //!
 //! # Wire format (protocol v4)
@@ -108,8 +108,6 @@ mod server;
 pub use client::{ClientConfig, RemoteClient, RemoteClientStats};
 pub use codec::{BinaryCodec, JsonLinesCodec, WireCodec, WireMode, MAX_FRAME};
 pub use endpoint::Endpoint;
-#[allow(deprecated)]
-pub use endpoint::RemoteAddr;
 pub use server::{JournalSource, RemoteServer, RemoteServerConfig, RemoteServerStats, WirePolicy};
 
 use crate::journal::JournalPage;
@@ -492,10 +490,10 @@ mod tests {
 
     #[cfg(unix)]
     #[test]
-    #[allow(deprecated)]
     fn uds_roundtrip_and_journal_fetch() {
         let addr = uds_addr("roundtrip");
         let stack = Arc::new(Journaled::new(Cached::new(fleet(1, 2), 8)));
+        let served = Arc::clone(&stack);
         let journal_stack = Arc::clone(&stack);
         let server = RemoteServer::bind_with(
             &addr,
@@ -517,10 +515,9 @@ mod tests {
         assert_eq!(journal.len(), 2);
         journal.verify().unwrap();
 
-        // The legacy one-shot fetch chains the same pages server-side:
-        // its text is byte-identical to the paged client's concatenation.
-        let text = client.fetch_journal_text().unwrap();
-        assert_eq!(text, journal.render());
+        // Chained one-entry pages rebuild the server's journal byte for
+        // byte.
+        assert_eq!(journal.render(), served.journal().render());
 
         client.close();
         server.shutdown();
@@ -533,10 +530,9 @@ mod tests {
 
     #[test]
     fn telemetry_and_trace_roundtrip_over_tcp() {
-        use crate::service::Metered;
         use crate::telemetry::{TraceKind, Traced};
 
-        let stack = Traced::new(Metered::new(Cached::new(fleet(2, 4), 16)), 256);
+        let stack = Traced::new(Cached::new(fleet(2, 4), 16), 256);
         let server =
             RemoteServer::bind(&"tcp:127.0.0.1:0".parse().unwrap(), Arc::new(stack)).unwrap();
         let client = RemoteClient::connect(server.local_addr()).unwrap();
@@ -547,7 +543,7 @@ mod tests {
         // Telemetry crosses the wire: per-layer histograms from the served
         // stack, the server's own frame latency, and this client's layer.
         let telemetry = client.remote_telemetry().unwrap();
-        let admit = telemetry.histogram("metered", "admit").unwrap();
+        let admit = telemetry.histogram("traced", "admit").unwrap();
         assert_eq!(admit.count(), 1);
         let frame = telemetry.histogram("remote-server", "frame").unwrap();
         assert!(frame.count() >= 2, "admit + release frames timed");

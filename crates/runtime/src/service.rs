@@ -15,12 +15,13 @@
 //! * [`Journaled<S>`] — records every decision of *any* service into an
 //!   append-only [`Journal`] replayable by
 //!   [`JournalReplayer`](crate::JournalReplayer);
-//! * [`Metered<S>`] — per-operation latency/throughput counters that used
-//!   to be re-implemented by every driver.
+//! * [`Traced<S>`](crate::Traced) — per-operation latency/throughput
+//!   counters and the decision flight recorder (see
+//!   [`telemetry`](crate::telemetry)).
 //!
 //! Layers compose in any order with equivalent decisions (`Cached` and
-//! `Metered` are decision-transparent; `Journaled` only observes), so a
-//! stack like `Metered<Cached<Journaled<FleetManager>>>` is built from
+//! `Traced` are decision-transparent; `Journaled` only observes), so a
+//! stack like `Traced<Cached<Journaled<FleetManager>>>` is built from
 //! plain constructors and driven through `Box<dyn AdmissionService>` — the
 //! [`FrontEnd`](crate::FrontEnd) event loop multiplexes thousands of
 //! queued admissions over exactly this object.
@@ -61,10 +62,8 @@ use crate::cache::{lock, CacheKey, EstimateCache};
 use crate::fleet::{FleetAdmission, FleetError, FleetManager};
 use crate::journal::{DecisionEvent, Journal, JournalHeader, JournalOutcome};
 use crate::manager::{Admission, AdmitError, ResourceManager, Ticket};
-use crate::metrics::LatencySummary;
 use crate::telemetry::{
-    HistogramRecorder, LatencyHistogram, SpanContext, SpanScope, TelemetrySnapshot, TraceEvent,
-    TraceKind, TraceRecorder,
+    SpanContext, SpanScope, TelemetrySnapshot, TraceEvent, TraceKind, TraceRecorder,
 };
 use contention::{AdmissionOutcome, ContentionError, Estimate, Method, Violation};
 use experiments::signoff::SignOffReport;
@@ -335,8 +334,8 @@ pub struct OpRate {
     /// Operations recorded.
     pub count: u64,
     /// Operations per second over the layer's measurement window
-    /// (since the previous snapshot for [`Metered`], since start-up
-    /// otherwise), rounded.
+    /// (since the previous snapshot for [`Traced`](crate::Traced), since
+    /// start-up otherwise), rounded.
     pub ops_per_sec: u64,
     /// Median latency in microseconds.
     pub p50_us: u64,
@@ -355,7 +354,7 @@ pub struct OpRate {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LayerMetrics {
     /// Layer name (`"manager"`, `"fleet"`, `"cached"`, `"journaled"`,
-    /// `"metered"`, `"traced"`, `"front-end"`).
+    /// `"traced"`, `"front-end"`).
     pub layer: String,
     /// Ordered `(metric, value)` counters.
     pub counters: Vec<(String, u64)>,
@@ -431,8 +430,8 @@ impl ServiceSnapshot {
             .map(|(_, v)| *v)
     }
 
-    /// Renders the consistent per-layer metrics table shared by
-    /// `probcon serve-bench` and `probcon fleet-bench`.
+    /// Renders the consistent per-layer metrics table printed by
+    /// `probcon fleet-bench`.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -543,8 +542,8 @@ pub trait AdmissionService: Send + Sync {
     /// per-op latency distributions and flight-recorder stats.
     ///
     /// The default implementation wraps [`snapshot`](Self::snapshot) with
-    /// no distributions; instrumented layers ([`Metered`],
-    /// [`Traced`](crate::Traced), [`FrontEnd`](crate::FrontEnd)) append
+    /// no distributions; instrumented layers ([`Traced`](crate::Traced),
+    /// [`FrontEnd`](crate::FrontEnd)) append
     /// their histograms, and a [`RemoteClient`](crate::RemoteClient)
     /// forwards the request over the wire.
     fn telemetry(&self) -> TelemetrySnapshot {
@@ -1001,7 +1000,7 @@ impl AdmissionService for FleetManager {
 }
 
 // ---------------------------------------------------------------------------
-// Middleware: Cached, Journaled, Metered.
+// Middleware: Cached, Journaled.
 // ---------------------------------------------------------------------------
 
 /// Estimate-caching middleware: serves
@@ -1303,205 +1302,6 @@ impl<S: AdmissionService> AdmissionService for Journaled<S> {
     }
 }
 
-/// The operation classes a [`Metered`] layer samples.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServiceOp {
-    /// [`AdmissionService::admit`] calls.
-    Admit,
-    /// [`AdmissionService::release`] calls.
-    Release,
-    /// [`AdmissionService::estimate`] calls.
-    Estimate,
-    /// [`AdmissionService::snapshot`] calls (the cheap read probe).
-    Snapshot,
-}
-
-const SERVICE_OPS: [ServiceOp; 4] = [
-    ServiceOp::Admit,
-    ServiceOp::Release,
-    ServiceOp::Estimate,
-    ServiceOp::Snapshot,
-];
-
-impl ServiceOp {
-    fn index(self) -> usize {
-        self as usize
-    }
-
-    /// Lower-case operation name used in layer metrics.
-    pub fn name(self) -> &'static str {
-        match self {
-            ServiceOp::Admit => "admit",
-            ServiceOp::Release => "release",
-            ServiceOp::Estimate => "estimate",
-            ServiceOp::Snapshot => "snapshot",
-        }
-    }
-}
-
-/// Latency/throughput middleware: samples the wall-clock latency of every
-/// operation against the wrapped service into bounded
-/// [`LatencyHistogram`]s and surfaces order
-/// statistics (count, mean, p50…p999, max) per class — the counters
-/// previously re-implemented by both `BatchExecutor` and the fleet bench
-/// driver. Memory stays flat no matter how many operations are recorded
-/// (the layer used to keep every raw sample forever).
-#[derive(Debug)]
-pub struct Metered<S> {
-    inner: S,
-    stats: [HistogramRecorder; 4],
-    started: Instant,
-    /// Interval window backing the per-op `ops/s since last snapshot`
-    /// rates: instant and per-op counts at the previous `snapshot()`.
-    probe: Mutex<(Instant, [u64; 4])>,
-}
-
-impl<S: AdmissionService> Metered<S> {
-    /// Metering layer over `inner`.
-    pub fn new(inner: S) -> Metered<S> {
-        let started = Instant::now();
-        Metered {
-            inner,
-            stats: Default::default(),
-            started,
-            probe: Mutex::new((started, [0; 4])),
-        }
-    }
-
-    /// The wrapped service.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
-    /// Latency order statistics for one operation class, derived from the
-    /// class's bounded histogram (quantiles carry ≤ 1/16 relative error;
-    /// count, mean and max are exact).
-    pub fn latency(&self, op: ServiceOp) -> LatencySummary {
-        self.histogram(op).summary()
-    }
-
-    /// The full bounded latency distribution for one operation class.
-    pub fn histogram(&self, op: ServiceOp) -> LatencyHistogram {
-        self.stats[op.index()].snapshot()
-    }
-
-    /// Operations sampled across all classes.
-    pub fn operations(&self) -> u64 {
-        self.stats.iter().map(HistogramRecorder::count).sum()
-    }
-
-    /// Operations per second since the layer was created.
-    pub fn throughput(&self) -> f64 {
-        let elapsed = self.started.elapsed().as_secs_f64();
-        if elapsed == 0.0 {
-            0.0
-        } else {
-            self.operations() as f64 / elapsed
-        }
-    }
-
-    fn record<T>(&self, op: ServiceOp, f: impl FnOnce() -> T) -> T {
-        let start = Instant::now();
-        let result = f();
-        self.stats[op.index()].record_duration(start.elapsed());
-        result
-    }
-
-    /// The `"metered"` layer row: O(1) aggregate counters plus one
-    /// [`OpRate`] per active class, whose `ops_per_sec` covers the window
-    /// since the previous snapshot (advancing the window).
-    fn layer(&self) -> LayerMetrics {
-        let now = Instant::now();
-        let counts: [u64; 4] = std::array::from_fn(|i| self.stats[i].count());
-        let (last_instant, last_counts) = {
-            let mut probe = lock(&self.probe);
-            std::mem::replace(&mut *probe, (now, counts))
-        };
-        let window = now.saturating_duration_since(last_instant).as_secs_f64();
-        let mut layer = LayerMetrics::new("metered")
-            .counter("operations", counts.iter().sum())
-            .counter("ops_per_sec", self.throughput() as u64);
-        for op in SERVICE_OPS {
-            let count = counts[op.index()];
-            if count == 0 {
-                continue;
-            }
-            let recorder = &self.stats[op.index()];
-            layer = layer
-                .counter(format!("{}_count", op.name()), count)
-                .counter(
-                    format!("{}_mean_us", op.name()),
-                    recorder.sum_micros() / count,
-                )
-                .counter(format!("{}_max_us", op.name()), recorder.max_micros());
-            let delta = count.saturating_sub(last_counts[op.index()]);
-            let rate = if window > 0.0 {
-                (delta as f64 / window).round() as u64
-            } else {
-                0
-            };
-            let hist = recorder.snapshot();
-            layer = layer.op_rate(OpRate {
-                op: op.name().to_string(),
-                count,
-                ops_per_sec: rate,
-                p50_us: hist.p50(),
-                p90_us: hist.p90(),
-                p99_us: hist.p99(),
-                p999_us: hist.p999(),
-                max_us: hist.max_micros(),
-            });
-        }
-        layer
-    }
-}
-
-impl<S: AdmissionService> AdmissionService for Metered<S> {
-    fn admit(&self, request: &AdmissionRequest) -> Result<AdmissionDecision, ServiceError> {
-        self.record(ServiceOp::Admit, || self.inner.admit(request))
-    }
-
-    fn release(&self, resident: u64) -> Result<(), ServiceError> {
-        self.record(ServiceOp::Release, || self.inner.release(resident))
-    }
-
-    fn snapshot(&self) -> ServiceSnapshot {
-        let mut snapshot = self.record(ServiceOp::Snapshot, || self.inner.snapshot());
-        snapshot.layers.push(self.layer());
-        snapshot
-    }
-
-    fn workload(&self) -> Option<&SystemSpec> {
-        self.inner.workload()
-    }
-
-    fn estimate(&self, use_case: UseCase, method: Method) -> Result<Arc<Estimate>, ServiceError> {
-        self.record(ServiceOp::Estimate, || {
-            self.inner.estimate(use_case, method)
-        })
-    }
-
-    fn telemetry(&self) -> TelemetrySnapshot {
-        let mut telemetry = self.inner.telemetry();
-        telemetry.service.layers.push(self.layer());
-        for op in SERVICE_OPS {
-            let hist = self.histogram(op);
-            if !hist.is_empty() {
-                telemetry.push_histogram("metered", op.name(), hist);
-            }
-        }
-        telemetry
-    }
-
-    fn trace_tail(&self, limit: usize) -> Vec<TraceEvent> {
-        self.inner.trace_tail(limit)
-    }
-
-    fn trace_recorder(&self) -> Option<Arc<TraceRecorder>> {
-        self.inner.trace_recorder()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1747,36 +1547,37 @@ mod tests {
     }
 
     #[test]
-    fn metered_layer_samples_every_class() {
-        let metered = Metered::new(Cached::new(bound_manager(2, 4), 8));
-        let decision = metered.admit(&AdmissionRequest::new(0)).unwrap();
-        metered
+    fn traced_layer_samples_every_class() {
+        use crate::telemetry::{ServiceOp, Traced};
+
+        let traced = Traced::new(Cached::new(bound_manager(2, 4), 8), 64);
+        let decision = traced.admit(&AdmissionRequest::new(0)).unwrap();
+        traced
             .estimate(UseCase::full(2), Method::Composability)
             .unwrap();
-        let _probe = metered.snapshot();
-        metered.release(decision.resident().unwrap()).unwrap();
-        assert_eq!(metered.latency(ServiceOp::Admit).count, 1);
-        assert_eq!(metered.latency(ServiceOp::Estimate).count, 1);
-        assert_eq!(metered.latency(ServiceOp::Release).count, 1);
-        assert!(metered.latency(ServiceOp::Snapshot).count >= 1);
-        assert!(metered.operations() >= 4);
-        assert!(!metered.histogram(ServiceOp::Admit).is_empty());
-        let snapshot = metered.snapshot();
-        assert_eq!(snapshot.counter("metered", "admit_count"), Some(1));
+        let _probe = traced.snapshot();
+        traced.release(decision.resident().unwrap()).unwrap();
+        assert_eq!(traced.histogram(ServiceOp::Admit).count(), 1);
+        assert_eq!(traced.histogram(ServiceOp::Estimate).count(), 1);
+        assert_eq!(traced.histogram(ServiceOp::Release).count(), 1);
+        assert!(traced.histogram(ServiceOp::Snapshot).count() >= 1);
+        let snapshot = traced.snapshot();
+        assert!(snapshot.counter("traced", "operations").unwrap_or(0) >= 4);
+        assert_eq!(snapshot.counter("traced", "admit_count"), Some(1));
         // Every active class also surfaces an OpRate row.
-        let metered_layer = snapshot
+        let traced_layer = snapshot
             .layers
             .iter()
-            .find(|l| l.layer == "metered")
+            .find(|l| l.layer == "traced")
             .unwrap();
-        assert!(metered_layer.ops.iter().any(|r| r.op == "admit"));
+        assert!(traced_layer.ops.iter().any(|r| r.op == "admit"));
         // The stack renders the consistent per-layer table.
         let table = snapshot.render();
         for needle in [
             "service:",
             "layer",
             "cached",
-            "metered",
+            "traced",
             "hits",
             "admit_count",
             "p999_us",
@@ -1784,8 +1585,8 @@ mod tests {
             assert!(table.contains(needle), "missing {needle} in:\n{table}");
         }
         // Telemetry carries the full distributions.
-        let telemetry = metered.telemetry();
-        assert!(telemetry.histogram("metered", "admit").is_some());
+        let telemetry = traced.telemetry();
+        assert!(telemetry.histogram("traced", "admit").is_some());
         assert!(telemetry.histogram("cached", "admit").is_none());
     }
 
@@ -1802,7 +1603,7 @@ mod tests {
             released: 116,
             layers: vec![
                 LayerMetrics::new("fleet").counter("groups", 2),
-                LayerMetrics::new("metered")
+                LayerMetrics::new("traced")
                     .counter("operations", 242)
                     .op_rate(OpRate {
                         op: "admit".to_string(),
@@ -1820,9 +1621,9 @@ mod tests {
 service: 4/8 residents (50% util), 120 admitted, 5 rejected, 2 saturated, 116 released
 layer        metric                              value
 fleet        groups                                  2
-metered      operations                            242
+traced       operations                            242
 layer        op              count    ops/s   p50_us   p90_us   p99_us  p999_us   max_us
-metered      admit             120       40      210      300      480     1200     1500
+traced       admit             120       40      210      300      480     1200     1500
 ";
         assert_eq!(snapshot.render(), expected);
     }
@@ -1891,11 +1692,11 @@ metered      admit             120       40      210      300      480     1200 
     #[test]
     fn arc_dyn_stack_composes() {
         let stack: Arc<dyn AdmissionService> = Arc::new(Cached::new(fleet(2, 2), 8));
-        let metered = Metered::new(Arc::clone(&stack));
-        let decision = metered.admit(&AdmissionRequest::new(0)).unwrap();
+        let traced = crate::telemetry::Traced::new(Arc::clone(&stack), 16);
+        let decision = traced.admit(&AdmissionRequest::new(0)).unwrap();
         assert!(decision.is_admitted());
-        assert!(metered.workload().is_some());
-        metered.release(decision.resident().unwrap()).unwrap();
+        assert!(traced.workload().is_some());
+        traced.release(decision.resident().unwrap()).unwrap();
         fn is_send_sync<T: Send + Sync>() {}
         is_send_sync::<Arc<dyn AdmissionService>>();
     }

@@ -13,9 +13,10 @@
 //! * [`TraceRecorder`] / [`TraceEvent`] — a fixed-capacity ring-buffer
 //!   flight recorder of structured decision events, fed by the
 //!   [`Traced`] middleware (which composes like
-//!   [`Cached`](crate::Cached) / [`Journaled`](crate::Journaled) /
-//!   [`Metered`](crate::Metered)) and by instrumentation points in
-//!   [`FrontEnd`](crate::FrontEnd) and the remote transport.
+//!   [`Cached`](crate::Cached) / [`Journaled`](crate::Journaled) and is
+//!   also the one layer that times every operation) and by
+//!   instrumentation points in [`FrontEnd`](crate::FrontEnd) and the
+//!   remote transport.
 //! * [`TelemetrySnapshot`] — the exposition surface aggregating the
 //!   [`ServiceSnapshot`] of every layer plus full latency distributions
 //!   and flight-recorder stats, answered by every
@@ -36,7 +37,6 @@ use platform::{SystemSpec, UseCase};
 use serde::{Deserialize, Serialize};
 
 use crate::journal::ClientScope;
-use crate::metrics::LatencySummary;
 use crate::service::{
     AdmissionDecision, AdmissionRequest, AdmissionService, LayerMetrics, OpRate, ServiceError,
     ServiceSnapshot,
@@ -227,22 +227,6 @@ impl LatencyHistogram {
     /// 99.9th percentile, in microseconds.
     pub fn p999(&self) -> u64 {
         self.quantile(0.999)
-    }
-
-    /// Order-statistics view of the histogram, for call sites that
-    /// render a [`LatencySummary`] table.
-    pub fn summary(&self) -> LatencySummary {
-        LatencySummary {
-            count: self.count,
-            min: Duration::from_micros(self.min_micros()),
-            mean: Duration::from_micros(self.mean_micros()),
-            p50: Duration::from_micros(self.p50()),
-            p90: Duration::from_micros(self.p90()),
-            p95: Duration::from_micros(self.quantile(0.95)),
-            p99: Duration::from_micros(self.p99()),
-            p999: Duration::from_micros(self.p999()),
-            max: Duration::from_micros(self.max_micros()),
-        }
     }
 }
 
@@ -1122,13 +1106,52 @@ pub fn render_chrome_trace(events: &[TraceEvent], anchor_micros: u64) -> String 
     out
 }
 
-/// Tracing middleware: records every decision flowing through the
-/// wrapped service into a shared [`TraceRecorder`].
+/// The operation classes a [`Traced`] layer times.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ServiceOp {
+    /// [`AdmissionService::admit`] calls.
+    Admit,
+    /// [`AdmissionService::release`] calls.
+    Release,
+    /// [`AdmissionService::estimate`] calls.
+    Estimate,
+    /// [`AdmissionService::snapshot`] calls (the cheap read probe).
+    Snapshot,
+}
+
+const SERVICE_OPS: [ServiceOp; 4] = [
+    ServiceOp::Admit,
+    ServiceOp::Release,
+    ServiceOp::Estimate,
+    ServiceOp::Snapshot,
+];
+
+impl ServiceOp {
+    fn index(self) -> usize {
+        self as usize
+    }
+
+    /// Lower-case operation name used in layer metrics.
+    pub fn name(self) -> &'static str {
+        match self {
+            ServiceOp::Admit => "admit",
+            ServiceOp::Release => "release",
+            ServiceOp::Estimate => "estimate",
+            ServiceOp::Snapshot => "snapshot",
+        }
+    }
+}
+
+/// Tracing and timing middleware: records every decision flowing through
+/// the wrapped service into a shared [`TraceRecorder`], and samples the
+/// wall-clock latency of every operation into one bounded
+/// [`LatencyHistogram`] per [`ServiceOp`] class. Memory stays flat no
+/// matter how many operations are recorded.
 ///
 /// Composes like [`Cached`](crate::Cached) /
-/// [`Journaled`](crate::Journaled) / [`Metered`](crate::Metered) and is
-/// decision-transparent: it never changes an outcome, only observes it
-/// (see the byte-identical-journal test in `tests/telemetry.rs`).
+/// [`Journaled`](crate::Journaled) and is decision-transparent: it never
+/// changes an outcome, only observes it (see the byte-identical-journal
+/// test in `tests/telemetry.rs`).
 #[derive(Debug)]
 pub struct Traced<S> {
     inner: S,
@@ -1137,6 +1160,12 @@ pub struct Traced<S> {
     /// [`ClientScope`]. Only decisions attributed to a client touch this
     /// map — anonymous local traffic pays no lock here.
     tenants: Mutex<BTreeMap<String, TenantCounters>>,
+    /// Per-class operation latency, indexed by [`ServiceOp`].
+    timings: [HistogramRecorder; 4],
+    started: Instant,
+    /// Interval window backing the per-op `ops/s since last snapshot`
+    /// rates: instant and per-op counts at the previous `snapshot()`.
+    window: Mutex<(Instant, [u64; 4])>,
 }
 
 #[derive(Debug, Default)]
@@ -1157,10 +1186,14 @@ impl<S: AdmissionService> Traced<S> {
     /// Wraps `inner` recording into an existing (possibly shared)
     /// recorder.
     pub fn with_recorder(inner: S, recorder: Arc<TraceRecorder>) -> Traced<S> {
+        let started = Instant::now();
         Traced {
             inner,
             recorder,
             tenants: Mutex::new(BTreeMap::new()),
+            timings: Default::default(),
+            started,
+            window: Mutex::new((started, [0; 4])),
         }
     }
 
@@ -1174,11 +1207,75 @@ impl<S: AdmissionService> Traced<S> {
         &self.inner
     }
 
+    /// The full bounded latency distribution for one operation class.
+    pub fn histogram(&self, op: ServiceOp) -> LatencyHistogram {
+        self.timings[op.index()].snapshot()
+    }
+
+    fn time<T>(&self, op: ServiceOp, f: impl FnOnce() -> T) -> T {
+        let start = Instant::now();
+        let result = f();
+        self.timings[op.index()].record_duration(start.elapsed());
+        result
+    }
+
+    /// The `"traced"` layer row: flight-recorder and O(1) aggregate
+    /// counters plus one [`OpRate`] per active class, whose `ops_per_sec`
+    /// covers the window since the previous snapshot (advancing the
+    /// window).
     fn layer(&self) -> LayerMetrics {
-        LayerMetrics::new("traced")
+        let now = Instant::now();
+        let counts: [u64; 4] = std::array::from_fn(|i| self.timings[i].count());
+        let (last_instant, last_counts) = {
+            let mut window = self.window.lock().expect("traced window poisoned");
+            std::mem::replace(&mut *window, (now, counts))
+        };
+        let window = now.saturating_duration_since(last_instant).as_secs_f64();
+        let operations: u64 = counts.iter().sum();
+        let uptime = now.saturating_duration_since(self.started).as_secs_f64();
+        let ops_per_sec = if uptime > 0.0 {
+            (operations as f64 / uptime) as u64
+        } else {
+            0
+        };
+        let mut layer = LayerMetrics::new("traced")
             .counter("events", self.recorder.recorded())
             .counter("dropped", self.recorder.dropped())
             .counter("capacity", self.recorder.capacity() as u64)
+            .counter("operations", operations)
+            .counter("ops_per_sec", ops_per_sec);
+        for op in SERVICE_OPS {
+            let count = counts[op.index()];
+            if count == 0 {
+                continue;
+            }
+            let recorder = &self.timings[op.index()];
+            layer = layer
+                .counter(format!("{}_count", op.name()), count)
+                .counter(
+                    format!("{}_mean_us", op.name()),
+                    recorder.sum_micros() / count,
+                )
+                .counter(format!("{}_max_us", op.name()), recorder.max_micros());
+            let delta = count.saturating_sub(last_counts[op.index()]);
+            let rate = if window > 0.0 {
+                (delta as f64 / window).round() as u64
+            } else {
+                0
+            };
+            let hist = recorder.snapshot();
+            layer = layer.op_rate(OpRate {
+                op: op.name().to_string(),
+                count,
+                ops_per_sec: rate,
+                p50_us: hist.p50(),
+                p90_us: hist.p90(),
+                p99_us: hist.p99(),
+                p999_us: hist.p999(),
+                max_us: hist.max_micros(),
+            });
+        }
+        layer
     }
 
     fn account_tenant(&self, decision: &AdmissionDecision, elapsed: Duration) {
@@ -1214,6 +1311,8 @@ impl<S: AdmissionService> AdmissionService for Traced<S> {
             }
             None => self.inner.admit(request),
         };
+        let elapsed = start.elapsed();
+        self.timings[ServiceOp::Admit.index()].record_duration(elapsed);
         if let Ok(decision) = &result {
             let mut event = match decision {
                 AdmissionDecision::Admitted {
@@ -1232,8 +1331,8 @@ impl<S: AdmissionService> AdmissionService for Traced<S> {
                 event = event.span(context);
             }
             self.recorder
-                .record(event.app(request.app_index).duration(start.elapsed()));
-            self.account_tenant(decision, start.elapsed());
+                .record(event.app(request.app_index).duration(elapsed));
+            self.account_tenant(decision, elapsed);
         }
         result
     }
@@ -1241,11 +1340,13 @@ impl<S: AdmissionService> AdmissionService for Traced<S> {
     fn release(&self, resident: u64) -> Result<(), ServiceError> {
         let start = Instant::now();
         let result = self.inner.release(resident);
+        let elapsed = start.elapsed();
+        self.timings[ServiceOp::Release.index()].record_duration(elapsed);
         if result.is_ok() {
             self.recorder.record(
                 TraceEvent::new(TraceKind::Release)
                     .resident(resident)
-                    .duration(start.elapsed()),
+                    .duration(elapsed),
             );
             if let Some(client) = ClientScope::current() {
                 let mut tenants = self.tenants.lock().expect("tenant map poisoned");
@@ -1256,7 +1357,7 @@ impl<S: AdmissionService> AdmissionService for Traced<S> {
     }
 
     fn snapshot(&self) -> ServiceSnapshot {
-        let mut snapshot = self.inner.snapshot();
+        let mut snapshot = self.time(ServiceOp::Snapshot, || self.inner.snapshot());
         snapshot.layers.push(self.layer());
         snapshot
     }
@@ -1269,14 +1370,22 @@ impl<S: AdmissionService> AdmissionService for Traced<S> {
         // Estimate events are recorded by a [`Cached`](crate::Cached)
         // layer with hit/miss attribution (see
         // [`Cached::attach_trace`](crate::Cached::attach_trace)) — this
-        // layer only forwards, so a shared recorder never sees the same
+        // layer only times them, so a shared recorder never sees the same
         // estimate twice.
-        self.inner.estimate(use_case, method)
+        self.time(ServiceOp::Estimate, || {
+            self.inner.estimate(use_case, method)
+        })
     }
 
     fn telemetry(&self) -> TelemetrySnapshot {
         let mut telemetry = self.inner.telemetry();
         telemetry.service.layers.push(self.layer());
+        for op in SERVICE_OPS {
+            let hist = self.histogram(op);
+            if !hist.is_empty() {
+                telemetry.push_histogram("traced", op.name(), hist);
+            }
+        }
         telemetry.trace = self.recorder.stats();
         let tenants = self.tenants.lock().expect("tenant map poisoned");
         if !tenants.is_empty() {
@@ -1309,7 +1418,7 @@ impl<S: AdmissionService> AdmissionService for Traced<S> {
 /// Full latency distribution of one operation class on one layer.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OpHistogram {
-    /// Layer that recorded the distribution (e.g. `"metered"`).
+    /// Layer that recorded the distribution (e.g. `"traced"`).
     pub layer: String,
     /// Operation class (e.g. `"admit"`).
     pub op: String,
@@ -1941,7 +2050,7 @@ mod tests {
         let mut t = TelemetrySnapshot::from_service(ServiceSnapshot::default());
         let mut h = LatencyHistogram::new();
         h.record(120);
-        t.push_histogram("metered", "admit", h);
+        t.push_histogram("traced", "admit", h);
         t.trace = TraceStats {
             recorded: 7,
             dropped: 1,
@@ -1952,10 +2061,11 @@ mod tests {
         assert!(text.contains("# TYPE probcon_residents gauge"));
         assert!(text.contains("probcon_admitted_total 0"));
         assert!(text.contains(
-            "probcon_op_latency_microseconds{layer=\"metered\",op=\"admit\",quantile=\"0.5\"} 120"
+            "probcon_op_latency_microseconds{layer=\"traced\",op=\"admit\",quantile=\"0.5\"} 120"
         ));
-        assert!(text
-            .contains("probcon_op_latency_microseconds_count{layer=\"metered\",op=\"admit\"} 1"));
+        assert!(
+            text.contains("probcon_op_latency_microseconds_count{layer=\"traced\",op=\"admit\"} 1")
+        );
         assert!(text.contains("probcon_trace_events_total 7"));
         assert!(text.contains("# TYPE probcon_trace_dropped_total counter"));
         assert!(text.contains("probcon_trace_dropped_total 1"));

@@ -1,5 +1,5 @@
 //! The layered admission-service stack, end to end: one `AdmissionService`
-//! trait, composable middleware (`Metered<Cached<Journaled<FleetManager>>>`),
+//! trait, composable middleware (`Traced<Cached<Journaled<FleetManager>>>`),
 //! sign-off cache warming, and the async `FrontEnd` multiplexing hundreds
 //! of queued admissions over a four-thread worker pool.
 //!
@@ -11,7 +11,7 @@ use experiments::workload::workload_with;
 use platform::UseCase;
 use runtime::{
     AdmissionRequest, AdmissionService, Cached, Completion, FleetConfig, FleetManager, FrontEnd,
-    FrontEndConfig, JournalReplayer, Journaled, Metered, RoutingPolicy,
+    FrontEndConfig, JournalReplayer, Journaled, RoutingPolicy, Traced,
 };
 use sdf::GeneratorConfig;
 use std::sync::Arc;
@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("warmed {warmed} estimates (all 2^4 - 1 use-cases) before traffic");
 
     let front = FrontEnd::new(
-        Box::new(Metered::new(Arc::clone(&cached))),
+        Box::new(Traced::new(Arc::clone(&cached), 1024)),
         FrontEndConfig {
             workers: 4,
             queue_capacity: 1024,

@@ -5,7 +5,6 @@
 //! probcon analyze  <graph.json>
 //! probcon estimate --seed 2007 --apps 10 --use-case 1023 [--method order-2]
 //! probcon simulate --seed 2007 --apps 10 --use-case 1023 [--horizon 500000]
-//! probcon serve-bench --threads 4 --requests 1000 [--apps N] [--shards S]
 //! probcon fleet-bench --requests 1000 [--groups 4] [--journal fleet.jsonl]
 //! probcon serve    --listen unix:/tmp/probcon.sock [--once] [--wire json|binary]
 //! probcon fleet-bench --connect unix:/tmp/probcon.sock --requests 1000 [--connections 64]
@@ -54,16 +53,6 @@ USAGE:
   probcon signoff --seed <u64> --apps <n> [--method <m>]
       Per-application worst/best predicted period over ALL 2^n - 1 use-cases.
 
-  probcon serve-bench --threads <n> --requests <m> [--seed <u64>] [--apps <n>]
-                      [--actors <n>] [--shards <n>] [--capacity <n>]
-                      [--front-end <workers>]
-      Hammer the admission-service stack (estimate cache over the sharded
-      resource manager, optionally multiplexed through the async front-end)
-      with a seeded stream of admit/release/query/estimate requests and
-      print a throughput/latency/rejection metrics table with per-layer
-      service metrics. Service admissions never wait for capacity (a full
-      shard saturates); bounded FIFO/LIFO waiting is the ticket API's.
-
   probcon fleet-bench --requests <m> [--threads <n>] [--seed <u64>] [--apps <n>]
                       [--actors <n>] [--groups <n>] [--shards <n>] [--capacity <n>]
                       [--policy least-utilised|round-robin|affinity]
@@ -73,7 +62,7 @@ USAGE:
                       [--autoscale <policy.json>] [--autoscale-interval <ms>]
                       [--connect tcp:HOST:PORT|unix:PATH] [--client NAME]
                       [--wire json|binary] [--connections <n>]
-      Drive a metered + cached service stack over a multi-group fleet manager
+      Drive a traced + cached service stack over a multi-group fleet manager
       with a seeded admit/release/rebalance/estimate stream, print per-group
       utilisation and per-layer service metrics, optionally pre-warm the
       estimate cache from the sign-off artefact (reporting warm-vs-cold hit
@@ -114,7 +103,7 @@ USAGE:
                 [--segment-entries <n>] [--checkpoint-every <n>]
                 [--autoscale <policy.json>] [--autoscale-interval <ms>]
                 [--wire json|binary]
-      Serve a traced + metered + estimate-cached multi-group fleet manager
+      Serve a traced + estimate-cached multi-group fleet manager
       over the remote admission protocol (TCP or Unix domain socket). Every
       decision lands in the fleet's header-stamped journal, served to
       clients over the wire, and in a --trace-event flight recorder
@@ -299,7 +288,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         "estimate" => done(cmd_estimate(&options)),
         "simulate" => done(cmd_simulate(&options)),
         "signoff" => done(cmd_signoff(&options)),
-        "serve-bench" => done(cmd_serve_bench(&options)),
         "fleet-bench" => done(cmd_fleet_bench(&options)),
         "serve" => done(cmd_serve(&options)),
         "top" => done(cmd_top(&options)),
@@ -466,78 +454,10 @@ fn cmd_signoff(options: &HashMap<&str, &str>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_serve_bench(options: &HashMap<&str, &str>) -> Result<(), String> {
-    use runtime::{
-        seeded_requests, AdmissionService, BatchExecutor, Cached, FrontEnd, FrontEndConfig,
-        QueueMode, ResourceManager, ResourceManagerConfig,
-    };
-    use std::sync::Arc;
-    use std::time::Duration;
-
-    let threads = require_u64(options, "threads")? as usize;
-    let requests = require_u64(options, "requests")? as usize;
-    if threads == 0 || requests == 0 {
-        return Err("--threads and --requests must be positive".into());
-    }
-    let seed = opt_u64(options, "seed")?.unwrap_or(experiments::workload::DEFAULT_SEED);
-    let apps = opt_u64(options, "apps")?.unwrap_or(6) as usize;
-    if apps == 0 || apps > 20 {
-        return Err("--apps must be in 1..=20".into());
-    }
-    let actors = opt_u64(options, "actors")?.unwrap_or(5) as usize;
-    let shards = opt_u64(options, "shards")?.unwrap_or(4) as usize;
-    let capacity = opt_u64(options, "capacity")?.unwrap_or(8) as usize;
-    let front_end_workers = opt_u64(options, "front-end")?.map(|w| w as usize);
-    if front_end_workers == Some(0) {
-        return Err("--front-end workers must be positive".into());
-    }
-
-    let spec = workload_with(seed, apps, &GeneratorConfig::with_actors(actors))
-        .map_err(|e| e.to_string())?;
-    // Queue mode / admit timeout only govern the direct ticket API's
-    // bounded waiting; the service path decides without waiting.
-    let manager = ResourceManager::new(ResourceManagerConfig {
-        shards,
-        capacity_per_shard: capacity,
-        queue_mode: QueueMode::Fifo,
-        admit_timeout: Some(Duration::from_millis(100)),
-    });
-    manager.bind_workload(spec.clone());
-
-    // The service stack: estimate caching over the sharded manager, with
-    // the async front-end multiplexing on top when requested.
-    let stack: Arc<dyn AdmissionService> = Arc::new(Cached::new(manager.clone(), 256));
-    let stack: Arc<dyn AdmissionService> = match front_end_workers {
-        Some(workers) => Arc::new(FrontEnd::new(
-            Box::new(stack),
-            FrontEndConfig {
-                workers,
-                queue_capacity: requests.max(1),
-            },
-        )),
-        None => stack,
-    };
-    let executor = BatchExecutor::new(stack);
-    let stream = seeded_requests(&spec, requests, seed);
-
-    println!(
-        "serve-bench: {apps} applications × {actors} actors, {shards} shards × \
-         capacity {capacity}{}",
-        match front_end_workers {
-            Some(workers) => format!(", front-end with {workers} workers"),
-            None => String::new(),
-        }
-    );
-    let report = executor.run(stream, threads);
-    print!("{}", report.render());
-    manager.stop();
-    Ok(())
-}
-
 fn cmd_fleet_bench(options: &HashMap<&str, &str>) -> Result<(), String> {
     use runtime::{
-        run_fleet_stack, run_fleet_stack_sampled, seeded_fleet_requests, Cached, FleetConfig,
-        FleetManager, FleetRequest, JournalHeader, Metered, RoutingPolicy, JOURNAL_VERSION,
+        run_stack, seeded_fleet_requests, Cached, FleetConfig, FleetManager, FleetRequest,
+        JournalHeader, RoutingPolicy, Traced, JOURNAL_VERSION,
     };
 
     if let Some(&addr) = options.get("connect") {
@@ -669,9 +589,9 @@ fn cmd_fleet_bench(options: &HashMap<&str, &str>) -> Result<(), String> {
         return Err("--autoscale-interval needs --autoscale".into());
     }
 
-    // The service stack: latency metering over estimate caching over the
-    // fleet; admissions/releases/estimates flow through it, rebalances go
-    // to the fleet directly.
+    // The service stack: tracing and latency timing over estimate caching
+    // over the fleet; admissions/releases/estimates flow through it,
+    // rebalances go to the fleet directly.
     let cached = Cached::new(fleet.clone(), 256);
     let warm = options.contains_key("warm-cache");
     if warm {
@@ -704,11 +624,9 @@ fn cmd_fleet_bench(options: &HashMap<&str, &str>) -> Result<(), String> {
         .collect::<std::collections::HashSet<_>>()
         .len() as u64;
 
-    let stack = Metered::new(cached);
-    let (report, points) = match telemetry_interval(options)? {
-        Some(interval) => run_fleet_stack_sampled(&stack, &fleet, stream, threads, interval),
-        None => (run_fleet_stack(&stack, &fleet, stream, threads), Vec::new()),
-    };
+    let stack = Traced::new(cached, 4096);
+    let sampling = telemetry_interval(options)?.map(|interval| (interval, None));
+    let (report, points) = run_stack(&stack, Some(&fleet), stream, threads, sampling);
     if let Some((controller, handle)) = autoscaler {
         handle.stop();
         println!("{}", controller.status().render());
@@ -861,8 +779,8 @@ impl runtime::AdmissionService for FanInClient {
 
 fn cmd_fleet_bench_remote(addr: &str, options: &HashMap<&str, &str>) -> Result<(), String> {
     use runtime::{
-        run_service_requests, run_service_requests_sampled_with, seeded_fleet_requests,
-        AdmissionService, ClientConfig, ConnectionPoint, Endpoint, Metered, RemoteClient, WireMode,
+        run_stack, seeded_fleet_requests, AdmissionService, ClientConfig, ConnectionPoint,
+        ConnectionSampler, Endpoint, RemoteClient, Traced, WireMode,
     };
 
     // Fleet shape, workload and journal durability are the server's to
@@ -934,38 +852,35 @@ fn cmd_fleet_bench_remote(addr: &str, options: &HashMap<&str, &str>) -> Result<(
     );
 
     let stream = seeded_fleet_requests(&spec, groups, requests, seed);
-    let stack = Metered::new(FanInClient {
-        clients,
-        next: std::sync::atomic::AtomicUsize::new(0),
-    });
+    let stack = Traced::new(
+        FanInClient {
+            clients,
+            next: std::sync::atomic::AtomicUsize::new(0),
+        },
+        4096,
+    );
     // Each telemetry sample also captures per-connection fan-in counters,
     // so a trajectory shows whether the round-robin spread stayed even.
-    let sampler = {
-        let fan_in: &FanInClient = stack.inner();
-        move || {
-            fan_in
-                .clients
-                .iter()
-                .enumerate()
-                .map(|(i, client)| {
-                    let stats = client.stats();
-                    ConnectionPoint {
-                        conn: i as u64,
-                        requests_sent: stats.requests_sent,
-                        responses: stats.responses,
-                        transport_errors: stats.transport_errors,
-                        pending: stats.pending,
-                    }
-                })
-                .collect()
-        }
+    let fan_in: &FanInClient = stack.inner();
+    let sampler: ConnectionSampler<'_> = &|| {
+        fan_in
+            .clients
+            .iter()
+            .enumerate()
+            .map(|(i, client)| {
+                let stats = client.stats();
+                ConnectionPoint {
+                    conn: i as u64,
+                    requests_sent: stats.requests_sent,
+                    responses: stats.responses,
+                    transport_errors: stats.transport_errors,
+                    pending: stats.pending,
+                }
+            })
+            .collect()
     };
-    let (report, points) = match telemetry_interval(options)? {
-        Some(interval) => {
-            run_service_requests_sampled_with(&stack, stream, threads, interval, Some(&sampler))
-        }
-        None => (run_service_requests(&stack, stream, threads), Vec::new()),
-    };
+    let sampling = telemetry_interval(options)?.map(|interval| (interval, Some(sampler)));
+    let (report, points) = run_stack(&stack, None, stream, threads, sampling);
     print!("{}", report.render());
     write_telemetry(options, &points)?;
 
@@ -987,7 +902,7 @@ fn cmd_fleet_bench_remote(addr: &str, options: &HashMap<&str, &str>) -> Result<(
 
 fn cmd_serve(options: &HashMap<&str, &str>) -> Result<(), String> {
     use runtime::{
-        Cached, Endpoint, FleetConfig, FleetManager, Journal, JournalHeader, Metered, RemoteServer,
+        Cached, Endpoint, FleetConfig, FleetManager, Journal, JournalHeader, RemoteServer,
         RemoteServerConfig, RoutingPolicy, TraceRecorder, Traced, WireMode, WirePolicy,
         JOURNAL_VERSION, MANIFEST_FILE,
     };
@@ -1108,15 +1023,15 @@ fn cmd_serve(options: &HashMap<&str, &str>) -> Result<(), String> {
         }
     };
 
-    // The served stack, outermost first: flight recording over latency
-    // metering over estimate caching over the fleet. The cache layer
+    // The served stack, outermost first: flight recording and latency
+    // timing over estimate caching over the fleet. The cache layer
     // shares the outer recorder so estimate hits/misses land inline with
     // the decision trace `probcon trace --connect` tails.
     let recorder = Arc::new(TraceRecorder::new(trace_capacity));
     let cached = Cached::new(fleet.clone(), cache);
     cached.attach_trace(Arc::clone(&recorder));
     fleet.attach_trace(Arc::clone(&recorder));
-    let stack = Traced::with_recorder(Metered::new(cached), Arc::clone(&recorder));
+    let stack = Traced::with_recorder(cached, Arc::clone(&recorder));
 
     // --autoscale: an elastic capacity controller ticks in the background,
     // resizing the served fleet through the journaled resize path, and an
@@ -1249,16 +1164,16 @@ fn cmd_serve(options: &HashMap<&str, &str>) -> Result<(), String> {
     Ok(())
 }
 
-/// Builds the full telemetry demo stack — traced + metered + cached over a
+/// Builds the full telemetry demo stack — traced + cached over a
 /// two-group fleet — and drives a seeded request stream through it, so
 /// `probcon top` / `probcon trace` without --connect have live numbers to
 /// show. Returns the still-assembled stack for rendering.
 fn demo_telemetry_stack(
     options: &HashMap<&str, &str>,
-) -> Result<runtime::Traced<runtime::Metered<runtime::Cached<runtime::FleetManager>>>, String> {
+) -> Result<runtime::Traced<runtime::Cached<runtime::FleetManager>>, String> {
     use runtime::{
-        run_fleet_stack, seeded_fleet_requests, Cached, FleetConfig, FleetManager, Metered,
-        RoutingPolicy, TraceRecorder, Traced,
+        run_stack, seeded_fleet_requests, Cached, FleetConfig, FleetManager, RoutingPolicy,
+        TraceRecorder, Traced,
     };
     use std::sync::Arc;
 
@@ -1277,9 +1192,9 @@ fn demo_telemetry_stack(
     let recorder = Arc::new(TraceRecorder::new(4096));
     let cached = Cached::new(fleet.clone(), 64);
     cached.attach_trace(Arc::clone(&recorder));
-    let stack = Traced::with_recorder(Metered::new(cached), recorder);
+    let stack = Traced::with_recorder(cached, recorder);
     let stream = seeded_fleet_requests(&spec, 2, requests, seed);
-    let _ = run_fleet_stack(&stack, &fleet, stream, 2);
+    let _ = run_stack(&stack, Some(&fleet), stream, 2, None);
     Ok(stack)
 }
 

@@ -23,9 +23,10 @@
 //!   `ResourceManager` and the multi-platform `FleetManager`, composable
 //!   middleware layers (`Cached` estimate memoization with sign-off
 //!   warming, `Journaled` decision recording with deterministic replay,
-//!   `Metered` latency/throughput counters), and the async `FrontEnd`
-//!   event loop multiplexing thousands of queued admissions over a small
-//!   worker pool (`probcon serve-bench` / `fleet-bench` / `replay`).
+//!   `Traced` latency/throughput counters and flight recording), and the
+//!   async `FrontEnd` event loop multiplexing thousands of queued
+//!   admissions over a small worker pool (`probcon fleet-bench` /
+//!   `replay`).
 //!
 //! # Example
 //!

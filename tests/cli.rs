@@ -111,10 +111,12 @@ fn estimate_validates_inputs() {
     }
 }
 
+/// One group of a sharded manager: the shape a single-manager bench
+/// drives, served through the fleet driver.
 #[test]
-fn serve_bench_prints_metrics_table() {
+fn fleet_bench_single_group_prints_metrics_table() {
     let out = probcon(&[
-        "serve-bench",
+        "fleet-bench",
         "--threads",
         "2",
         "--requests",
@@ -123,47 +125,26 @@ fn serve_bench_prints_metrics_table() {
         "3",
         "--actors",
         "4",
+        "--groups",
+        "1",
+        "--shards",
+        "4",
+        "--capacity",
+        "8",
     ]);
     assert!(out.status.success(), "{:?}", out);
     let stdout = String::from_utf8_lossy(&out.stdout);
     for needle in [
-        "serve-bench",
+        "fleet-bench",
+        "1 groups × 4 shards × capacity 8",
         "req/s",
         "admit",
-        "p95",
+        "p99_us",
         "admitted",
         "rejected",
         "estimate cache",
         "hit rate",
-    ] {
-        assert!(stdout.contains(needle), "missing '{needle}' in:\n{stdout}");
-    }
-}
-
-#[test]
-fn serve_bench_front_end_reports_queue_metrics() {
-    let out = probcon(&[
-        "serve-bench",
-        "--threads",
-        "4",
-        "--requests",
-        "120",
-        "--apps",
-        "3",
-        "--actors",
-        "4",
-        "--front-end",
-        "2",
-    ]);
-    assert!(out.status.success(), "{:?}", out);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    for needle in [
-        "front-end with 2 workers",
-        "front-end",
-        "queue_depth",
-        "submitted",
-        "completed",
-        "cached",
+        "traced",
     ] {
         assert!(stdout.contains(needle), "missing '{needle}' in:\n{stdout}");
     }
@@ -190,7 +171,7 @@ fn fleet_bench_warm_cache_reports_warm_vs_cold_hit_rates() {
         "hit rate warm",
         "cold baseline",
         "cached",
-        "metered",
+        "traced",
     ] {
         assert!(stdout.contains(needle), "missing '{needle}' in:\n{stdout}");
     }
@@ -209,28 +190,6 @@ fn fleet_bench_warm_cache_reports_warm_vs_cold_hit_rates() {
         "--warm-cache",
     ]);
     assert!(!out.status.success(), "{:?}", out);
-}
-
-#[test]
-fn serve_bench_validates_inputs() {
-    for bad in [
-        vec!["serve-bench", "--threads", "0", "--requests", "10"],
-        vec!["serve-bench", "--threads", "2", "--requests", "0"],
-        vec!["serve-bench", "--threads", "2"],
-        vec!["serve-bench", "--requests", "10"],
-        vec![
-            "serve-bench",
-            "--threads",
-            "2",
-            "--requests",
-            "10",
-            "--apps",
-            "0",
-        ],
-    ] {
-        let out = probcon(&bad);
-        assert!(!out.status.success(), "should reject: {bad:?}");
-    }
 }
 
 #[test]
@@ -708,7 +667,7 @@ fn serve_connect_journal_replay_roundtrip_over_uds() {
         "req/s",
         "remote",
         "fleet",
-        "metered",
+        "traced",
         "fetched",
     ] {
         assert!(stdout.contains(needle), "missing '{needle}' in:\n{stdout}");

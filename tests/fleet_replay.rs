@@ -7,7 +7,7 @@
 
 use experiments::workload::workload_with;
 use runtime::{
-    run_fleet_requests, seeded_fleet_requests, AdmissionRequest, AdmissionService, DecisionEvent,
+    run_stack, seeded_fleet_requests, AdmissionRequest, AdmissionService, DecisionEvent,
     FleetConfig, FleetManager, FleetRequest, Journal, JournalHeader, JournalOutcome,
     JournalReplayer, Journaled, ReplayReport, RoutingPolicy, JOURNAL_VERSION,
 };
@@ -46,7 +46,7 @@ fn record() -> Journal {
     let spec = workload_with(SEED, APPS, &GeneratorConfig::with_actors(ACTORS)).expect("workload");
     let fleet = FleetManager::with_header(spec.clone(), config(), header()).expect("fleet");
     let stream = seeded_fleet_requests(&spec, GROUPS, REQUESTS, SEED);
-    let report = run_fleet_requests(&fleet, stream, 1);
+    let (report, _) = run_stack(&fleet, Some(&fleet), stream, 1, None);
     let snapshot = report.snapshot.as_ref().expect("local fleet run");
     assert!(snapshot.admitted > 0, "workload admits: {report:?}");
     assert!(
@@ -152,7 +152,7 @@ fn concurrent_recording_still_replays_equivalently() {
     let spec = workload_with(SEED, APPS, &GeneratorConfig::with_actors(ACTORS)).expect("workload");
     let fleet = FleetManager::with_header(spec.clone(), config(), header()).expect("fleet");
     let stream = seeded_fleet_requests(&spec, GROUPS, REQUESTS, SEED + 1);
-    run_fleet_requests(&fleet, stream, 8);
+    run_stack(&fleet, Some(&fleet), stream, 8, None);
     let journal = Journal::parse(&fleet.journal().render()).expect("round-trips");
 
     let (report, _) = JournalReplayer::new(&spec)
@@ -365,10 +365,12 @@ fn record_wal(name: &str) -> (std::path::PathBuf, Vec<String>, usize) {
     )
     .expect("fresh WAL");
     let fleet = FleetManager::with_journal(spec.clone(), config(), journal).expect("fleet");
-    run_fleet_requests(
+    run_stack(
         &fleet,
+        Some(&fleet),
         seeded_fleet_requests(&spec, GROUPS, REQUESTS, SEED),
         1,
+        None,
     );
     fleet.journal().sync().expect("sync");
     assert_eq!(fleet.journal().io_errors(), 0, "no append may fail");

@@ -474,7 +474,7 @@ proptest! {
     ) {
         use platform::Application;
         use runtime::{
-            run_fleet_requests, seeded_fleet_requests, FleetConfig, FleetManager, FleetShape,
+            run_stack, seeded_fleet_requests, FleetConfig, FleetManager, FleetShape,
             PlanRun, RoutingPolicy,
         };
         use sdf::figure2_graphs;
@@ -498,7 +498,7 @@ proptest! {
         .expect("valid fleet");
         // Single-threaded seeded run: admits (with contracts/affinities),
         // releases, rebalances — all journaled deterministically.
-        run_fleet_requests(&fleet, seeded_fleet_requests(&spec, groups, count, seed), 1);
+        run_stack(&fleet, Some(&fleet), seeded_fleet_requests(&spec, groups, count, seed), 1, None);
 
         let shape = FleetShape::from_header(fleet.journal().header());
         let report = PlanRun::new(&spec, fleet.journal(), &shape)

@@ -7,10 +7,10 @@ use platform::{Application, Mapping, SystemSpec};
 use proptest::prelude::*;
 use runtime::telemetry::BUCKET_COUNT;
 use runtime::{
-    build_span_trees, run_fleet_stack, seeded_fleet_requests, AdmissionRequest, AdmissionService,
+    build_span_trees, run_stack, seeded_fleet_requests, AdmissionRequest, AdmissionService,
     FleetConfig, FleetManager, FrontEnd, FrontEndConfig, HistogramRecorder, Journal, Journaled,
-    LatencyHistogram, Metered, RoutingPolicy, ServiceOp, SpanContext, SpanNode, TraceEvent,
-    TraceKind, TraceRecorder, Traced,
+    LatencyHistogram, RoutingPolicy, ServiceOp, SpanContext, SpanNode, TraceEvent, TraceKind,
+    TraceRecorder, Traced,
 };
 use sdf::figure2_graphs;
 use std::sync::Arc;
@@ -85,13 +85,13 @@ proptest! {
     }
 }
 
-/// The Metered layer's memory no longer grows with traffic: a million
+/// The Traced layer's op timing does not grow with traffic: a million
 /// operations land in a fixed bucket table instead of a sample vector.
 #[test]
 fn metered_memory_stays_flat_over_a_million_operations() {
-    let stack = Metered::new(fleet());
+    let stack = Traced::new(fleet(), 64);
     for i in 0..1_000_000u64 {
-        // Unknown-resident releases: cheap, typed, and still metered.
+        // Unknown-resident releases: cheap, typed, and still timed.
         let _ = stack.release(u64::MAX - (i % 17));
     }
     let histogram = stack.histogram(ServiceOp::Release);
@@ -105,7 +105,7 @@ fn metered_memory_stays_flat_over_a_million_operations() {
 
 fn drive(stack: &dyn AdmissionService, fleet: &FleetManager) {
     let stream = seeded_fleet_requests(&spec(), 2, 250, 17);
-    let _ = run_fleet_stack(stack, fleet, stream, 1);
+    let _ = run_stack(stack, Some(fleet), stream, 1, None);
 }
 
 /// Renders a journal's entries with timestamps zeroed — the only field
@@ -178,7 +178,7 @@ fn telemetry_snapshot_autoscaler_field_is_wire_compatible() {
     use std::sync::Arc;
 
     let fleet = fleet();
-    let bare = Metered::new(fleet.clone());
+    let bare = Traced::new(fleet.clone(), 64);
     let without = bare.telemetry();
     let json_without = serde_json::to_string(&without).expect("serializes");
     assert!(
@@ -196,7 +196,7 @@ fn telemetry_snapshot_autoscaler_field_is_wire_compatible() {
         Arc::new(fleet.clone()),
         ScalePolicy::Manual,
     ));
-    let stack = Autoscaled::new(Metered::new(fleet), controller);
+    let stack = Autoscaled::new(Traced::new(fleet, 64), controller);
     let with = stack.telemetry();
     let status = with
         .autoscaler
@@ -356,7 +356,7 @@ fn front_end_submissions_build_one_trace_per_request() {
     let fleet = fleet();
     let recorder = Arc::new(TraceRecorder::new(4096));
     fleet.attach_trace(Arc::clone(&recorder));
-    let stack = Traced::with_recorder(Metered::new(fleet.clone()), Arc::clone(&recorder));
+    let stack = Traced::with_recorder(fleet.clone(), Arc::clone(&recorder));
     let front = FrontEnd::traced(
         Box::new(stack),
         FrontEndConfig {

@@ -13,7 +13,7 @@ use runtime::remote::{
     ClientHello, ServerHello, WireBody, WireFault, WireOp, WireRequest, WireResponse,
 };
 use runtime::{
-    AdmissionRequest, AdmissionService, Cached, FleetConfig, FleetManager, Journaled, Metered,
+    AdmissionRequest, AdmissionService, Cached, FleetConfig, FleetManager, Journaled,
     RoutingPolicy, TraceRecorder, Traced,
 };
 use sdf::{figure2_graphs, Rational};
@@ -118,7 +118,7 @@ fn every_wire_body_variant_crosses_both_codecs_identically() {
     .expect("valid fleet");
     let recorder = Arc::new(TraceRecorder::new(64));
     let stack = Traced::with_recorder(
-        Metered::new(Journaled::new(Cached::new(fleet, 16))),
+        Journaled::new(Cached::new(fleet, 16)),
         Arc::clone(&recorder),
     );
     let decision = stack.admit(&AdmissionRequest::new(0)).expect("admits");
@@ -127,7 +127,7 @@ fn every_wire_body_variant_crosses_both_codecs_identically() {
         .estimate(UseCase::from_mask(0b11), "exact".parse().expect("method"))
         .expect("estimates");
     stack.release(resident).expect("releases");
-    let journal = stack.inner().inner().journal();
+    let journal = stack.inner().journal();
     let page = journal.render_page(0, 2).expect("page");
     let mut telemetry = stack.telemetry();
     // The trailing-Option field, populated: an elastic controller's
