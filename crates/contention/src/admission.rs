@@ -7,10 +7,15 @@
 //!
 //! [`AdmissionController`] keeps one [`Composite`] per processing node.
 //! Admitting an application *composes* its actors onto their nodes in
-//! `O(actors)` (Equations 6/7); removing one *decomposes* them with the
-//! inverse operators (Equations 8/9) — no re-analysis of the resident
-//! applications is ever needed, which is the paper's complexity argument for
-//! the composability approach (`O(n)` incremental vs `O(n²)` recompute).
+//! `O(actors)` (Equations 6/7), and each actor's contention is read back
+//! with the inverse operators (Equations 8/9) — the paper's complexity
+//! argument for the composability approach (`O(n)` incremental vs `O(n²)`
+//! recompute). What an admission does re-analyse is the period of every
+//! application whose contract the candidate could break: the candidate
+//! itself plus each resident that carries a required throughput, one
+//! state-space analysis each. Residents without a contract cannot cause a
+//! rejection, so they are not re-analysed; ask
+//! [`AdmissionController::predicted_period`] for any of them.
 //!
 //! # Examples
 //!
@@ -109,12 +114,15 @@ impl fmt::Display for Violation {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AdmissionOutcome {
     /// The application was admitted under the returned id; the map holds the
-    /// predicted period of every resident application (including the new
-    /// one).
+    /// predicted period of the new application and of every resident that
+    /// carries a required throughput — exactly the periods the decision
+    /// checked.
     Admitted {
         /// Id assigned to the admitted application.
         id: AppId,
-        /// Predicted period per resident application.
+        /// Predicted period of the candidate and of each contract holder.
+        /// Residents without a contract are absent: use
+        /// [`AdmissionController::predicted_period`] for them.
         predicted_periods: BTreeMap<AppId, Rational>,
     },
     /// The application was rejected; the controller state is unchanged.
@@ -307,65 +315,35 @@ impl AdmissionController {
                 .push((candidate_id, *load));
         }
 
-        // Predict periods for every resident + the candidate.
+        // Re-predict every contract holder, then the candidate: only their
+        // requirements can be violated. Residents without a contract are
+        // not analysed (`predicted_period` answers for them on demand).
+        let predict =
+            |owner: AppId, app: &Application, assignment: &[NodeId], loads: &[ActorLoad]| {
+                predict_period(
+                    app,
+                    owner,
+                    assignment,
+                    loads,
+                    &new_nodes,
+                    &new_members,
+                    self.analysis,
+                )
+            };
         let mut predicted: BTreeMap<AppId, Rational> = BTreeMap::new();
         let mut violations = Vec::new();
-
-        let mut check = |owner: AppId,
-                         id: Option<AppId>,
-                         app: &Application,
-                         assignment: &[NodeId],
-                         loads: &[ActorLoad],
-                         required: Option<Rational>,
-                         new_nodes: &BTreeMap<NodeId, Composite>,
-                         new_members: &BTreeMap<NodeId, Vec<(AppId, ActorLoad)>>|
-         -> Result<Rational, ContentionError> {
-            let period = predict_period(
-                app,
-                owner,
-                assignment,
-                loads,
-                new_nodes,
-                new_members,
-                self.analysis,
-            )?;
-            if let Some(required) = required {
-                let throughput = period.recip();
-                if throughput < required {
-                    violations.push(Violation {
-                        app: id,
-                        required,
-                        predicted: throughput,
-                    });
-                }
-            }
-            Ok(period)
-        };
-
         for (&id, resident) in &self.residents {
-            let p = check(
-                id,
-                Some(id),
-                &resident.app,
-                &resident.assignment,
-                &resident.loads,
-                resident.required_throughput,
-                &new_nodes,
-                &new_members,
-            )?;
-            predicted.insert(id, p);
+            let Some(required) = resident.required_throughput else {
+                continue;
+            };
+            let period = predict(id, &resident.app, &resident.assignment, &resident.loads)?;
+            violations.extend(violation(Some(id), period, required));
+            predicted.insert(id, period);
         }
-        let p_candidate = check(
-            candidate_id,
-            None,
-            &app,
-            assignment,
-            &loads,
-            required_throughput,
-            &new_nodes,
-            &new_members,
-        )?;
-        predicted.insert(candidate_id, p_candidate);
+        let period = predict(candidate_id, &app, assignment, &loads)?;
+        violations
+            .extend(required_throughput.and_then(|required| violation(None, period, required)));
+        predicted.insert(candidate_id, period);
 
         if !violations.is_empty() {
             return Ok(AdmissionOutcome::Rejected { violations });
@@ -445,6 +423,17 @@ impl AdmissionController {
     }
 }
 
+/// The violation of `required` by an application predicted to run at
+/// `period`, if its throughput falls short.
+fn violation(app: Option<AppId>, period: Rational, required: Rational) -> Option<Violation> {
+    let predicted = period.recip();
+    (predicted < required).then_some(Violation {
+        app,
+        required,
+        predicted,
+    })
+}
+
 /// Period of `app` when its actors see `nodes` (which *includes* their own
 /// contribution — removed via the inverse per actor, or by re-folding the
 /// node's member list when a saturating load blocks the inverse).
@@ -481,9 +470,7 @@ fn predict_period(
             .quantize(crate::estimator::WAITING_TIME_GRID);
         times.push(app.graph().execution_time(actor) + twait);
     }
-    let inflated = app.graph().with_execution_times(&times);
-    sdf::analyze_period_with(&inflated, analysis)
-        .map(|a| a.period)
+    app.period_with_times(&times, analysis)
         .map_err(ContentionError::Graph)
 }
 
@@ -506,7 +493,8 @@ mod tests {
     fn admit_predicts_paper_period() {
         let (a, b) = apps();
         let mut ctrl = AdmissionController::new();
-        let o1 = ctrl.admit(a, &N3, None).unwrap();
+        // A holds a contract, so B's admission re-predicts both.
+        let o1 = ctrl.admit(a, &N3, Some(Rational::new(1, 400))).unwrap();
         assert!(o1.admitted_id().is_some());
         let o2 = ctrl.admit(b, &N3, None).unwrap();
         let AdmissionOutcome::Admitted {
@@ -515,6 +503,7 @@ mod tests {
         else {
             panic!("B must be admitted");
         };
+        assert_eq!(predicted_periods.len(), 2);
         // Composability == exact for one other actor per node: 1075/3.
         for p in predicted_periods.values() {
             assert_eq!(*p, Rational::new(1075, 3));
@@ -534,7 +523,10 @@ mod tests {
         let mut ctrl = AdmissionController::new();
         let mut reference_periods = None;
         for cycle in 0..600 {
-            let ida = ctrl.admit(a.clone(), &N3, None).unwrap();
+            // A's contract makes B's admission re-predict A too.
+            let ida = ctrl
+                .admit(a.clone(), &N3, Some(Rational::new(1, 400)))
+                .unwrap();
             let out_b = ctrl.admit(b.clone(), &N3, None).unwrap();
             let AdmissionOutcome::Admitted {
                 id: idb,
@@ -544,6 +536,7 @@ mod tests {
                 panic!("cycle {cycle}: B must be admitted into an empty mix");
             };
             let periods: Vec<Rational> = predicted_periods.values().copied().collect();
+            assert_eq!(periods.len(), 2, "cycle {cycle}");
             match &reference_periods {
                 None => reference_periods = Some(periods),
                 Some(reference) => {

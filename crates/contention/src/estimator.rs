@@ -350,10 +350,10 @@ pub fn estimate_with(
                             .unwrap_or(Rational::ZERO)
                 })
                 .collect();
-            let inflated = app.graph().with_execution_times(&times);
-            let analysis = sdf::analyze_period_with(&inflated, options.analysis)
+            let period = app
+                .period_with_times(&times, options.analysis)
                 .map_err(ContentionError::Graph)?;
-            periods.insert(app_id, analysis.period);
+            periods.insert(app_id, period);
         }
     }
 

@@ -1,6 +1,9 @@
 //! Applications: named SDF graphs with pre-computed analysis metadata.
 
-use sdf::{analyze_period, repetition_vector, Rational, RepetitionVector, SdfError, SdfGraph};
+use sdf::{
+    analyze_period, analyze_validated_period, AnalysisOptions, Rational, RepetitionVector,
+    SdfError, SdfGraph,
+};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -69,12 +72,11 @@ impl Application {
         name: impl Into<String>,
         graph: SdfGraph,
     ) -> Result<Application, crate::PlatformError> {
-        let repetition = repetition_vector(&graph).map_err(crate::PlatformError::Graph)?;
         let analysis = analyze_period(&graph).map_err(crate::PlatformError::Graph)?;
         Ok(Application {
             name: name.into(),
             graph,
-            repetition,
+            repetition: analysis.repetition_vector,
             isolation_period: analysis.period,
         })
     }
@@ -106,14 +108,30 @@ impl Application {
     }
 
     /// Re-analyzes the application with replaced execution times (the
-    /// estimator's response-time inflation step) and returns the resulting
-    /// period.
+    /// contention model's response-time inflation) and returns the
+    /// resulting period.
+    ///
+    /// The graph's consistency and strong connectivity were checked by
+    /// [`Application::new`] and do not depend on execution times, so this
+    /// runs only the state-space exploration
+    /// ([`sdf::analyze_validated_period`]) — no inflated graph is built.
     ///
     /// # Errors
     ///
-    /// Propagates analysis failures as [`SdfError`].
-    pub fn period_with_times(&self, times: &[Rational]) -> Result<Rational, SdfError> {
-        sdf::period(&self.graph.with_execution_times(times))
+    /// Propagates analysis failures as [`SdfError`]: a non-positive time,
+    /// deadlock, an exhausted step budget, or times that overflow the
+    /// analysis' integer ticks ([`SdfError::TickOverflow`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `times` does not hold one time per actor.
+    pub fn period_with_times(
+        &self,
+        times: &[Rational],
+        options: AnalysisOptions,
+    ) -> Result<Rational, SdfError> {
+        analyze_validated_period(&self.graph, &self.repetition, times, options)
+            .map(|analysis| analysis.period)
     }
 }
 
@@ -147,13 +165,29 @@ mod tests {
         let (a, _) = figure2_graphs();
         let app = Application::new("A", a).unwrap();
         let p = app
-            .period_with_times(&[
-                Rational::integer(100) + Rational::new(25, 3),
-                Rational::integer(50) + Rational::new(50, 3),
-                Rational::integer(100) + Rational::new(50, 3),
-            ])
+            .period_with_times(
+                &[
+                    Rational::integer(100) + Rational::new(25, 3),
+                    Rational::integer(50) + Rational::new(50, 3),
+                    Rational::integer(100) + Rational::new(50, 3),
+                ],
+                AnalysisOptions::default(),
+            )
             .unwrap();
         assert_eq!(p, Rational::new(1075, 3));
+    }
+
+    #[test]
+    fn period_with_times_reports_tick_overflow() {
+        let (a, _) = figure2_graphs();
+        let app = Application::new("A", a).unwrap();
+        // Pairwise coprime denominators whose lcm exceeds 64 bits.
+        let d = 1i128 << 22;
+        let times = [d - 3, d - 1, d + 1].map(|d| Rational::new(100 * d + 1, d));
+        assert_eq!(
+            app.period_with_times(&times, AnalysisOptions::default()),
+            Err(SdfError::TickOverflow)
+        );
     }
 
     #[test]

@@ -187,6 +187,10 @@ pub enum SdfError {
         /// Steps executed before giving up.
         steps: u64,
     },
+    /// The period analysis could not represent the execution on integer
+    /// ticks: the lcm of the execution-time denominators, an execution
+    /// time in ticks or the elapsed time overflowed 64 bits.
+    TickOverflow,
 }
 
 impl fmt::Display for SdfError {
@@ -207,6 +211,9 @@ impl fmt::Display for SdfError {
             }
             SdfError::BudgetExhausted { steps } => {
                 write!(f, "analysis budget exhausted after {steps} steps")
+            }
+            SdfError::TickOverflow => {
+                write!(f, "execution times overflow the analysis' 64-bit ticks")
             }
         }
     }

@@ -31,7 +31,7 @@
 
 use crate::graph::SdfError;
 use crate::hsdf::HsdfGraph;
-use crate::rational::Rational;
+use crate::rational::{gcd, Rational};
 
 /// Computes the exact maximum cycle ratio of `hsdf`.
 ///
@@ -106,14 +106,6 @@ pub fn maximum_cycle_ratio(hsdf: &HsdfGraph) -> Result<Rational, SdfError> {
 }
 
 fn lcm(a: i128, b: i128) -> i128 {
-    fn gcd(mut a: i128, mut b: i128) -> i128 {
-        while b != 0 {
-            let t = a % b;
-            a = b;
-            b = t;
-        }
-        a.abs()
-    }
     a / gcd(a, b) * b
 }
 

@@ -53,15 +53,60 @@ pub const ZERO: Rational = Rational { numer: 0, denom: 1 };
 /// One constant (`1/1`).
 pub const ONE: Rational = Rational { numer: 1, denom: 1 };
 
-fn gcd(mut a: i128, mut b: i128) -> i128 {
-    a = a.abs();
-    b = b.abs();
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
+/// Greatest common divisor of `|a|` and `|b|` (`gcd(0, 0) = 0`).
+///
+/// Binary (Stein) GCD: shifts and subtractions instead of the `i128`
+/// divisions of Euclid's algorithm, which dominate every normalisation.
+/// Operands that fit in 64 bits — almost all of them, since analysis
+/// times sit on a bounded grid — run entirely in `u64`. The gcd is unique,
+/// so every result is the one Euclid's algorithm gives.
+pub(crate) fn gcd(a: i128, b: i128) -> i128 {
+    let (a, b) = (a.unsigned_abs(), b.unsigned_abs());
+    let g = match (u64::try_from(a), u64::try_from(b)) {
+        (Ok(a), Ok(b)) => u128::from(gcd_u64(a, b)),
+        _ => gcd_u128(a, b),
+    };
+    g as i128
+}
+
+pub(crate) fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
+    if a == 0 || b == 0 {
+        return a | b;
     }
-    a
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        b -= a;
+        if b == 0 {
+            return a << shift;
+        }
+    }
+}
+
+fn gcd_u128(mut a: u128, mut b: u128) -> u128 {
+    if a == 0 || b == 0 {
+        return a | b;
+    }
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        // Both odd operands fit in 64 bits: finish there.
+        if let Ok(b64) = u64::try_from(b) {
+            return u128::from(gcd_u64(a as u64, b64)) << shift;
+        }
+        b -= a;
+        if b == 0 {
+            return a << shift;
+        }
+    }
 }
 
 impl Rational {
@@ -468,6 +513,68 @@ impl Sum for Rational {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Euclid's algorithm: the reference the binary gcd must match.
+    fn euclid(mut a: i128, mut b: i128) -> i128 {
+        a = a.abs();
+        b = b.abs();
+        while b != 0 {
+            let t = a % b;
+            a = b;
+            b = t;
+        }
+        a
+    }
+
+    /// An operand of one of the magnitudes normalisation meets — zero,
+    /// small, straddling 2⁶⁴, full width or near `i128::MAX` — of either
+    /// sign, optionally times a small factor so pairs share divisors.
+    fn operand() -> impl Strategy<Value = i128> {
+        (
+            0usize..5,
+            0i128..(1 << 20),
+            (i128::MIN + 1)..=i128::MAX,
+            1i128..(1 << 16),
+            0usize..2,
+        )
+            .prop_map(|(kind, small, wide, factor, negative)| {
+                let magnitude = match kind {
+                    0 => 0,
+                    1 => small,
+                    2 => (1i128 << 64) - (1 << 19) + small,
+                    3 => wide.abs(),
+                    _ => i128::MAX - small,
+                };
+                let magnitude = magnitude.checked_mul(factor).unwrap_or(magnitude);
+                if negative == 1 {
+                    -magnitude
+                } else {
+                    magnitude
+                }
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn binary_gcd_matches_euclid(a in operand(), b in operand()) {
+            prop_assert_eq!(gcd(a, b), euclid(a, b));
+            prop_assert_eq!(gcd(b, a), euclid(a, b));
+        }
+
+        #[test]
+        fn new_normalises(n in operand(), d in operand()) {
+            prop_assume!(d != 0);
+            let r = Rational::new(n, d);
+            let g = euclid(n, d);
+            prop_assert!(r.denom() > 0);
+            prop_assert_eq!(euclid(r.numer(), r.denom()), 1);
+            prop_assert_eq!(r.numer() * g, n * d.signum());
+            prop_assert_eq!(r.denom() * g, d.abs());
+        }
+    }
 
     #[test]
     fn normalisation() {

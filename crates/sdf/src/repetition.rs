@@ -23,7 +23,7 @@
 //! ```
 
 use crate::graph::{ActorId, ChannelId, SdfError, SdfGraph};
-use crate::rational::Rational;
+use crate::rational::{gcd, Rational};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -99,14 +99,6 @@ impl std::ops::Index<ActorId> for RepetitionVector {
 }
 
 fn lcm(a: i128, b: i128) -> i128 {
-    fn gcd(mut a: i128, mut b: i128) -> i128 {
-        while b != 0 {
-            let t = a % b;
-            a = b;
-            b = t;
-        }
-        a
-    }
     a / gcd(a, b) * b
 }
 
@@ -191,19 +183,7 @@ pub fn repetition_vector(graph: &SdfGraph) -> Result<RepetitionVector, SdfError>
         for a in &component {
             let r = ratio[a.0].expect("component actors have ratios");
             let scaled = r.numer() * (denom_lcm / r.denom());
-            numer_gcd = {
-                fn gcd(mut a: i128, mut b: i128) -> i128 {
-                    a = a.abs();
-                    b = b.abs();
-                    while b != 0 {
-                        let t = a % b;
-                        a = b;
-                        b = t;
-                    }
-                    a
-                }
-                gcd(numer_gcd, scaled)
-            };
+            numer_gcd = gcd(numer_gcd, scaled);
         }
         for a in &component {
             let r = ratio[a.0].expect("component actors have ratios");

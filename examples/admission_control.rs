@@ -3,9 +3,10 @@
 //!
 //! Applications arrive at a running media device one by one, each with a
 //! minimum-throughput requirement. The [`contention::AdmissionController`]
-//! decides in `O(actors)` per request — using the composability algebra's
-//! inverse operators — whether admitting the newcomer would break any
-//! resident application's contract.
+//! reads each actor's contention in `O(1)` with the composability
+//! algebra's inverse operators, then re-analyses the period of the
+//! newcomer and of every resident that holds a contract to decide whether
+//! admitting the newcomer would break any of them.
 //!
 //! Run with: `cargo run --release --example admission_control`
 
@@ -58,8 +59,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     .values()
                     .map(|p| p.to_f64())
                     .fold(0.0f64, f64::max);
+                // The outcome lists the periods the decision checked: the
+                // newcomer's and every contract holder's.
                 println!(
-                    "         -> {} resident, worst predicted period {:.0}",
+                    "         -> {} contract(s) checked, worst predicted period {:.0}",
                     predicted_periods.len(),
                     worst
                 );
@@ -92,8 +95,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("Residents now: {}", ctrl.resident_count());
 
-    // Predicted periods of the remaining residents after the removal —
-    // updated incrementally, no re-analysis of the resident set.
+    // Predicted periods of the remaining residents after the removal: the
+    // node composites are re-folded on removal, and `predicted_period`
+    // analyses one resident on demand.
     for id in ctrl.resident_ids().collect::<Vec<_>>() {
         println!(
             "  {id}: predicted period {:.0}",

@@ -7,18 +7,61 @@
 use contention::{estimate, Method};
 use mpsoc_sim::{simulate, SimConfig};
 use platform::{AppId, Application, Mapping, SystemSpec, UseCase};
-use sdf::{analyze_period, generate_graph, maximum_cycle_ratio, GeneratorConfig, HsdfGraph};
+use sdf::{
+    analyze_period, generate_graph, maximum_cycle_ratio, GeneratorConfig, HsdfGraph, Rational,
+    SdfGraph,
+};
 
 #[test]
 fn state_space_agrees_with_mcr_on_random_graphs() {
     let config = GeneratorConfig::default();
-    for seed in 0..25 {
-        let g = generate_graph(&config, seed);
-        let state_space = analyze_period(&g).expect("analyzes").period;
-        let hsdf = HsdfGraph::expand(&g).expect("expands");
+    let agree = |g: &SdfGraph, what: &str| {
+        let state_space = analyze_period(g).expect("analyzes").period;
+        let hsdf = HsdfGraph::expand(g).expect("expands");
         let mcr = maximum_cycle_ratio(&hsdf).expect("solves");
-        assert_eq!(state_space, mcr, "seed {seed}: {state_space} vs {mcr}");
+        assert_eq!(state_space, mcr, "{what}: {state_space} vs {mcr}");
+        state_space
+    };
+    for seed in 0..25 {
+        agree(&generate_graph(&config, seed), &format!("seed {seed}"));
     }
+
+    // Inflated graphs: generator graphs with the waiting times the
+    // estimator adds under contention, so execution times sit on the
+    // 1/2520² grid and the state space runs on a tick finer than 1.
+    let mut fractional = 0;
+    for seed in 0..6u64 {
+        let mut builder = SystemSpec::builder();
+        for app in 0..3 {
+            let g = generate_graph(&config, 300 + 10 * seed + app);
+            builder = builder.application(Application::new(format!("app{app}"), g).expect("valid"));
+        }
+        let spec = builder
+            .mapping(Mapping::by_actor_index(3 + seed as usize % 3))
+            .build()
+            .expect("valid spec");
+        for mask in [0b011, 0b101, 0b110, 0b111] {
+            let use_case = UseCase::from_mask(mask);
+            for method in [Method::Composability, Method::SECOND_ORDER] {
+                let estimate = estimate(&spec, use_case, method).expect("estimates");
+                for (&id, &period) in estimate.periods() {
+                    let graph = spec.application(id).graph();
+                    let times: Vec<Rational> = graph
+                        .actor_ids()
+                        .map(|a| {
+                            graph.execution_time(a)
+                                + estimate.waiting_time(id, a).unwrap_or(Rational::ZERO)
+                        })
+                        .collect();
+                    fractional += usize::from(times.iter().any(|t| !t.is_integer()));
+                    let inflated = graph.with_execution_times(&times);
+                    let what = format!("seed {seed} mask {mask:#b} {method:?} {id}");
+                    assert_eq!(agree(&inflated, &what), period, "{what}: estimate");
+                }
+            }
+        }
+    }
+    assert!(fractional > 0, "no inflated graph had a fractional time");
 }
 
 #[test]
