@@ -11,11 +11,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use platform::{Application, Mapping, NodeId, SystemSpec};
 use runtime::{
-    AdmissionRequest, AdmissionService, Completion, FrontEnd, FrontEndConfig, QueueMode,
-    ResourceManager, ResourceManagerConfig,
+    AdmissionRequest, AdmissionService, Completion, FrontEnd, FrontEndConfig, ResourceManager,
+    ResourceManagerConfig,
 };
 use sdf::figure2_graphs;
-use std::time::Duration;
 
 const OPS_PER_SAMPLE: usize = 64;
 
@@ -35,8 +34,6 @@ fn manager() -> ResourceManager {
     let manager = ResourceManager::new(ResourceManagerConfig {
         shards: 1,
         capacity_per_shard: OPS_PER_SAMPLE,
-        queue_mode: QueueMode::Fifo,
-        admit_timeout: Some(Duration::from_secs(5)),
     });
     manager.bind_workload(spec());
     manager

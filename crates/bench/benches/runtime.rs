@@ -9,9 +9,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use platform::{Application, NodeId};
-use runtime::{QueueMode, ResourceManager, ResourceManagerConfig};
+use runtime::{ResourceManager, ResourceManagerConfig};
 use sdf::figure2_graphs;
-use std::time::Duration;
 
 const OPS_PER_SAMPLE: usize = 64;
 
@@ -50,8 +49,6 @@ fn bench_concurrent_admission(c: &mut Criterion) {
         let manager = ResourceManager::new(ResourceManagerConfig {
             shards: threads,
             capacity_per_shard: 16,
-            queue_mode: QueueMode::Fifo,
-            admit_timeout: Some(Duration::from_secs(5)),
         });
         group.bench_with_input(
             BenchmarkId::new("admit_release_64ops", threads),

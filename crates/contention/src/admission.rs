@@ -65,8 +65,9 @@
 //! `Clone`, so concurrent front-ends wrap it in their own locking and take
 //! cheap snapshots for read-only analysis. The `runtime` crate's
 //! `ResourceManager` does exactly that: sharded controllers behind mutexes
-//! with ticket-based admit/release, bounded waiting and an estimate cache —
-//! the "run-time manager" deployment the paper's conclusions sketch.
+//! with ticket-based, non-blocking admit/release (a full shard refuses at
+//! once) — the "run-time manager" deployment the paper's conclusions
+//! sketch.
 
 use crate::compose::Composite;
 use crate::load::ActorLoad;

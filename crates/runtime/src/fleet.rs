@@ -14,8 +14,7 @@
 //! Fleet admissions are **non-blocking**: a full group answers
 //! [`FleetAdmission::Saturated`] immediately instead of queueing, which
 //! keeps every decision a pure function of the group's resident mix at its
-//! journal position — the property deterministic replay rests on. Callers
-//! wanting bounded waiting use a [`ResourceManager`] directly.
+//! journal position — the property deterministic replay rests on.
 //!
 //! # Example
 //!
@@ -51,9 +50,7 @@ use crate::journal::{
     DecisionEvent, Journal, JournalError, JournalHeader, JournalOutcome, ScaleAction, ScaleOutcome,
     ScaleRefusal,
 };
-use crate::manager::{
-    Admission, AdmitError, QueueMode, ResourceManager, ResourceManagerConfig, Ticket,
-};
+use crate::manager::{Admission, AdmitError, ResourceManager, ResourceManagerConfig, Ticket};
 use crate::telemetry::TraceRecorder;
 use crate::wal::{CheckpointGroup, CheckpointResident, FleetCheckpoint};
 use contention::Violation;
@@ -64,7 +61,6 @@ use std::fmt;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
-use std::time::Duration;
 
 /// How the fleet picks a group for an incoming admission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -312,10 +308,9 @@ impl From<AdmitError> for FleetError {
     }
 }
 
-/// Decision of a fleet admission attempt. Unlike
-/// [`Admission`], saturation (no free capacity on the
-/// routed group) is a decision here, not a timeout: fleet admissions never
-/// wait.
+/// Decision of a fleet admission attempt. Unlike [`Admission`], where a
+/// full shard is the error [`AdmitError::Saturated`], saturation (no free
+/// capacity on the routed group) is a journaled decision here.
 #[derive(Debug)]
 pub enum FleetAdmission {
     /// Admitted: the ticket owns the reserved capacity.
@@ -395,8 +390,6 @@ impl GroupRuntime {
             manager: ResourceManager::new(ResourceManagerConfig {
                 shards: config.shards,
                 capacity_per_shard: config.capacity_per_shard,
-                queue_mode: QueueMode::Fifo,
-                admit_timeout: Some(Duration::ZERO),
             }),
             config,
             order: Mutex::new(()),
@@ -432,12 +425,26 @@ struct FleetInner {
     rebalances: AtomicU64,
     resizes: AtomicU64,
     resize_refusals: AtomicU64,
+    /// `true` once [`FleetManager::stop`] ran; groups added afterwards
+    /// start stopped. Written and read under the group-list write lock.
+    stopped: AtomicBool,
     /// Optional flight recorder for fleet-level decision spans
     /// (see [`FleetManager::attach_trace`]).
     trace: OnceLock<Arc<TraceRecorder>>,
 }
 
 impl FleetInner {
+    /// Appends a group added after the journal header was stamped. The
+    /// caller holds the group-list write lock, which [`FleetManager::stop`]
+    /// also takes, so a group added to a stopped fleet starts stopped.
+    fn push_group(&self, groups: &mut Vec<Arc<GroupRuntime>>, config: GroupConfig) {
+        let group = GroupRuntime::from_config(config, true);
+        if self.stopped.load(Ordering::Acquire) {
+            group.manager.stop();
+        }
+        groups.push(Arc::new(group));
+    }
+
     /// Point-in-time view of the group list (cheap `Arc` clones). Groups
     /// are never removed — a drain retires in place — so indices in the
     /// returned vector are fleet group indices.
@@ -562,6 +569,7 @@ impl FleetManager {
                 rebalances: AtomicU64::new(0),
                 resizes: AtomicU64::new(0),
                 resize_refusals: AtomicU64::new(0),
+                stopped: AtomicBool::new(false),
                 trace: OnceLock::new(),
             }),
         })
@@ -785,13 +793,10 @@ impl FleetManager {
         let shard = g.manager.shard_for(app_index as u64);
 
         let _order = lock(&g.order);
-        match g.manager.admit_within(
-            shard,
-            app,
-            &assignment,
-            required_throughput,
-            Some(Duration::ZERO),
-        ) {
+        match g
+            .manager
+            .admit(shard, app, &assignment, required_throughput)
+        {
             Ok(Admission::Admitted(ticket)) => {
                 let resident = self.inner.next_resident.fetch_add(1, Ordering::Relaxed);
                 let predicted_period = ticket.predicted_period().unwrap_or(Rational::ZERO);
@@ -841,7 +846,7 @@ impl FleetManager {
                 });
                 Ok(FleetAdmission::Rejected { group, violations })
             }
-            Err(AdmitError::Timeout) => {
+            Err(AdmitError::Saturated) => {
                 g.counters.saturated.fetch_add(1, Ordering::Relaxed);
                 self.inner.journal.append(DecisionEvent::Admit {
                     group: group as u64,
@@ -905,13 +910,7 @@ impl FleetManager {
             let target = self.group(to)?;
             let (app, assignment) = self.instantiate(app_index);
             let shard = target.manager.shard_for(app_index as u64);
-            return match target.manager.admit_within(
-                shard,
-                app,
-                &assignment,
-                required,
-                Some(Duration::ZERO),
-            ) {
+            return match target.manager.admit(shard, app, &assignment, required) {
                 Ok(Admission::Admitted(new_ticket)) => {
                     let predicted_period = new_ticket.predicted_period().unwrap_or(Rational::ZERO);
                     let old_ticket = {
@@ -936,7 +935,7 @@ impl FleetManager {
                     to,
                     violations: violations.len(),
                 }),
-                Err(AdmitError::Timeout) => Err(FleetError::MoveSaturated { to }),
+                Err(AdmitError::Saturated) => Err(FleetError::MoveSaturated { to }),
                 Err(e) => Err(FleetError::Admit(e)),
             };
         }
@@ -1131,13 +1130,10 @@ impl FleetManager {
                 reason: "resident id already live".to_string(),
             });
         }
-        match g.manager.admit_within(
-            shard,
-            app,
-            &assignment,
-            restored.required_throughput,
-            Some(Duration::ZERO),
-        ) {
+        match g
+            .manager
+            .admit(shard, app, &assignment, restored.required_throughput)
+        {
             Ok(Admission::Admitted(ticket)) => {
                 lock(&self.inner.residents).insert(
                     restored.resident,
@@ -1159,7 +1155,7 @@ impl FleetManager {
                 resident: restored.resident,
                 reason: format!("re-admission rejected ({} violations)", violations.len()),
             }),
-            Err(AdmitError::Timeout) => Err(FleetError::Restore {
+            Err(AdmitError::Saturated) => Err(FleetError::Restore {
                 resident: restored.resident,
                 reason: format!("group {group_index} is full"),
             }),
@@ -1308,10 +1304,7 @@ impl FleetManager {
         let target = self.group(to)?;
         let (app, assignment) = self.instantiate(app_index);
         let shard = target.manager.shard_for(app_index as u64);
-        match target
-            .manager
-            .admit_within(shard, app, &assignment, required, Some(Duration::ZERO))
-        {
+        match target.manager.admit(shard, app, &assignment, required) {
             Ok(Admission::Admitted(new_ticket)) => {
                 let old_ticket = {
                     let mut residents = lock(&self.inner.residents);
@@ -1331,7 +1324,7 @@ impl FleetManager {
                     violations.len()
                 ),
             }),
-            Err(AdmitError::Timeout) => Err(FleetError::Restore {
+            Err(AdmitError::Saturated) => Err(FleetError::Restore {
                 resident,
                 reason: format!("recorded rebalance target group {to} is full"),
             }),
@@ -1527,7 +1520,7 @@ impl FleetManager {
                 },
             );
         }
-        groups.push(Arc::new(GroupRuntime::from_config(config, true)));
+        self.inner.push_group(&mut groups, config);
         self.append_resize(action, ScaleOutcome::Applied);
         ScaleOutcome::Applied
     }
@@ -1675,13 +1668,20 @@ impl FleetManager {
                 groups.len()
             )));
         }
-        groups.push(Arc::new(GroupRuntime::from_config(config, true)));
+        self.inner.push_group(&mut groups, config);
         Ok(())
     }
 
     /// Stops every group's manager (new admissions fail, residents drain).
+    /// Groups added later start stopped.
     pub fn stop(&self) {
-        for g in self.inner.groups_snapshot() {
+        let groups = self
+            .inner
+            .groups
+            .write()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        self.inner.stopped.store(true, Ordering::Release);
+        for g in groups.iter() {
             g.manager.stop();
         }
     }
@@ -2071,6 +2071,33 @@ mod tests {
             assert_eq!(policy.to_string().parse::<RoutingPolicy>(), Ok(policy));
         }
         assert!("bogus".parse::<RoutingPolicy>().is_err());
+    }
+
+    #[test]
+    fn groups_added_to_a_stopped_fleet_start_stopped() {
+        let f = fleet(1, 4, RoutingPolicy::LeastUtilised);
+        f.stop();
+        assert_eq!(
+            f.add_group(GroupConfig::new("late", 1, 4)).unwrap(),
+            ScaleOutcome::Applied
+        );
+        // Recovery appends recorded groups through its own path.
+        f.apply_resize_unjournaled(&ScaleAction::AddGroup {
+            group: 2,
+            shape: GroupConfig::new("recovered", 1, 4).to_shape(),
+        })
+        .unwrap();
+        assert_eq!(f.group_count(), 3);
+        for group in 0..3 {
+            assert!(
+                matches!(
+                    f.admit_to(group, 0, None),
+                    Err(FleetError::Admit(AdmitError::Stopped))
+                ),
+                "group {group} admitted after stop"
+            );
+        }
+        assert_eq!(f.resident_count(), 0);
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! online service able to serve heavy concurrent traffic:
 //!
 //! * [`ResourceManager`] — sharded, thread-safe admission front-end with
-//!   ticket-based admit/release, FIFO/LIFO bounded waiting, timeouts and
-//!   graceful [`stop`](ResourceManager::stop);
+//!   ticket-based, non-blocking admit/release (a full shard answers
+//!   [`AdmitError::Saturated`] at once) and graceful
+//!   [`stop`](ResourceManager::stop);
 //! * [`EstimateCache`] — LRU memoization of [`contention::estimate`]
 //!   results keyed by (spec fingerprint, use-case mask, method), with
 //!   observable hit/miss counters;
@@ -30,8 +31,9 @@
 //! * [`FrontEnd`] — the async event-loop front-end multiplexing thousands
 //!   of queued admissions over a small worker pool, delivering decisions
 //!   through [`Completion`] tickets (see [`frontend`]);
-//! * [`RemoteServer`] / [`RemoteClient`] — the remote transport: a
-//!   length-prefixed JSON-lines protocol over TCP or Unix domain sockets
+//! * [`RemoteServer`] / [`RemoteClient`] — the remote transport: framed
+//!   requests over TCP or Unix domain sockets, in a codec negotiated per
+//!   connection ([`BinaryCodec`] or the [`JsonLinesCodec`] debug mode),
 //!   whose both ends are just [`AdmissionService`]s, so a fleet spans
 //!   processes and every existing driver works against it unchanged (see
 //!   [`remote`]);
@@ -58,7 +60,6 @@
 //! let manager = ResourceManager::new(ResourceManagerConfig {
 //!     shards: 1,
 //!     capacity_per_shard: 8,
-//!     ..ResourceManagerConfig::default()
 //! });
 //!
 //! let (a, b) = figure2_graphs();
@@ -115,9 +116,7 @@ pub use journal::{
     JournalError, JournalHeader, JournalOutcome, JournalPage, JournalReplayer, ReplayReport,
     ScaleAction, ScaleOutcome, ScaleRefusal, JOURNAL_CHECKPOINT_VERSION, JOURNAL_VERSION,
 };
-pub use manager::{
-    Admission, AdmitError, QueueMode, ResourceManager, ResourceManagerConfig, Ticket,
-};
+pub use manager::{Admission, AdmitError, ResourceManager, ResourceManagerConfig, Ticket};
 pub use metrics::RuntimeMetrics;
 pub use planner::{
     FleetShape, Flip, FlipKind, GroupUsage, OutcomeTotals, PlanError, PlanReport, PlanRun,

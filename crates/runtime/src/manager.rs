@@ -1,5 +1,4 @@
-//! The concurrent admission front-end: sharded controllers, tickets,
-//! bounded waiting.
+//! The concurrent admission front-end: sharded controllers and tickets.
 //!
 //! [`ResourceManager`] turns the single-threaded
 //! [`contention::AdmissionController`] into a thread-safe service. The
@@ -11,31 +10,18 @@
 //! Admission is **ticket-based**: a successful [`admit`](ResourceManager::admit)
 //! returns a [`Ticket`] that releases its capacity (and decomposes the
 //! application from the shard, Equations 8/9) when dropped or explicitly
-//! [released](Ticket::release). When a shard is at capacity, callers wait
-//! on a FIFO or LIFO queue ([`QueueMode`]) with an optional timeout;
-//! [`stop`](ResourceManager::stop) wakes every waiter and refuses new
-//! admissions while letting resident tickets drain gracefully.
+//! [released](Ticket::release). Admission never waits: a full shard
+//! answers [`AdmitError::Saturated`] at once, so every decision is a pure
+//! function of the resident mix; [`stop`](ResourceManager::stop) refuses
+//! new admissions while letting resident tickets drain gracefully.
 
 use crate::cache::lock;
 use crate::metrics::RuntimeMetrics;
 use contention::{AdmissionController, AdmissionOutcome, ContentionError, Violation};
 use platform::{AppId, Application, NodeId};
 use sdf::Rational;
-use std::collections::VecDeque;
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
-
-/// Wake order for admission requests queued behind a full shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueMode {
-    /// First come, first admitted (fair; default).
-    #[default]
-    Fifo,
-    /// Newest waiter first (latency-biased under overload, like the
-    /// ticket/waiter admission controllers in serving systems).
-    Lifo,
-}
+use std::sync::{Arc, Mutex};
 
 /// Configuration of a [`ResourceManager`].
 #[derive(Debug, Clone)]
@@ -43,13 +29,9 @@ pub struct ResourceManagerConfig {
     /// Number of independent admission shards (≥ 1; each models one
     /// platform/node-group with its own controller).
     pub shards: usize,
-    /// Maximum resident applications per shard; further admissions wait.
+    /// Maximum resident applications per shard; further admissions are
+    /// refused with [`AdmitError::Saturated`].
     pub capacity_per_shard: usize,
-    /// Wake order for queued admissions.
-    pub queue_mode: QueueMode,
-    /// Default wait bound for [`ResourceManager::admit`]; `None` waits
-    /// indefinitely (until [`stop`](ResourceManager::stop)).
-    pub admit_timeout: Option<Duration>,
 }
 
 impl Default for ResourceManagerConfig {
@@ -57,8 +39,6 @@ impl Default for ResourceManagerConfig {
         ResourceManagerConfig {
             shards: 4,
             capacity_per_shard: 16,
-            queue_mode: QueueMode::Fifo,
-            admit_timeout: Some(Duration::from_secs(1)),
         }
     }
 }
@@ -68,8 +48,8 @@ impl Default for ResourceManagerConfig {
 pub enum AdmitError {
     /// The manager was stopped before a decision was reached.
     Stopped,
-    /// The capacity wait exceeded the timeout.
-    Timeout,
+    /// The shard is at capacity.
+    Saturated,
     /// The shard index is out of range.
     InvalidShard(usize),
     /// The underlying analysis failed (see the admission module's
@@ -81,7 +61,7 @@ impl fmt::Display for AdmitError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             AdmitError::Stopped => write!(f, "resource manager is stopped"),
-            AdmitError::Timeout => write!(f, "timed out waiting for shard capacity"),
+            AdmitError::Saturated => write!(f, "shard is at capacity"),
             AdmitError::InvalidShard(s) => write!(f, "shard {s} out of range"),
             AdmitError::Analysis(e) => write!(f, "analysis failure: {e}"),
         }
@@ -127,20 +107,14 @@ impl Admission {
 
 struct ShardState {
     ctrl: AdmissionController,
-    waiters: VecDeque<u64>,
-    next_waiter: u64,
     stopped: bool,
 }
 
-struct Shard {
-    state: Mutex<ShardState>,
-    cond: Condvar,
-}
+type Shard = Mutex<ShardState>;
 
 struct Inner {
     shards: Vec<Shard>,
-    config: ResourceManagerConfig,
-    /// Live per-shard capacity — starts at `config.capacity_per_shard` and
+    /// Live per-shard capacity — starts at the configured value and
     /// moves when an elastic fleet grows or shrinks the group this manager
     /// backs. Admissions read it at decision time, so outstanding tickets
     /// survive a shrink (an over-full shard simply refuses new admissions
@@ -162,7 +136,8 @@ pub struct ResourceManager {
 impl fmt::Debug for ResourceManager {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ResourceManager")
-            .field("config", &self.inner.config)
+            .field("shards", &self.shard_count())
+            .field("capacity_per_shard", &self.capacity_per_shard())
             .field("resident_count", &self.resident_count())
             .finish_non_exhaustive()
     }
@@ -177,25 +152,21 @@ impl Default for ResourceManager {
 impl ResourceManager {
     /// Manager with the given configuration (`shards`/`capacity_per_shard`
     /// are clamped to ≥ 1).
-    pub fn new(mut config: ResourceManagerConfig) -> ResourceManager {
-        config.shards = config.shards.max(1);
-        config.capacity_per_shard = config.capacity_per_shard.max(1);
-        let shards = (0..config.shards)
-            .map(|_| Shard {
-                state: Mutex::new(ShardState {
+    pub fn new(config: ResourceManagerConfig) -> ResourceManager {
+        let shards = (0..config.shards.max(1))
+            .map(|_| {
+                Mutex::new(ShardState {
                     ctrl: AdmissionController::new(),
-                    waiters: VecDeque::new(),
-                    next_waiter: 0,
                     stopped: false,
-                }),
-                cond: Condvar::new(),
+                })
             })
             .collect();
         ResourceManager {
             inner: Arc::new(Inner {
                 shards,
-                capacity_per_shard: std::sync::atomic::AtomicUsize::new(config.capacity_per_shard),
-                config,
+                capacity_per_shard: std::sync::atomic::AtomicUsize::new(
+                    config.capacity_per_shard.max(1),
+                ),
                 metrics: RuntimeMetrics::new(),
                 service: crate::service::ServiceState::default(),
             }),
@@ -213,7 +184,7 @@ impl ResourceManager {
 
     /// Total resident capacity (`shards × capacity_per_shard`).
     pub fn capacity(&self) -> usize {
-        self.inner.config.shards * self.capacity_per_shard()
+        self.shard_count() * self.capacity_per_shard()
     }
 
     /// Live per-shard capacity (see
@@ -225,23 +196,14 @@ impl ResourceManager {
     }
 
     /// Moves the per-shard capacity to `capacity` (clamped to ≥ 1) and
-    /// returns the previous value. Growing wakes queued admissions; an
-    /// over-full shard after a shrink keeps its residents and refuses new
-    /// admissions until it drains below the new bound.
+    /// returns the previous value. The next admission on each shard sees
+    /// the new bound; an over-full shard after a shrink keeps its
+    /// residents and answers [`AdmitError::Saturated`] until it drains
+    /// below the new bound.
     pub fn set_capacity_per_shard(&self, capacity: usize) -> usize {
-        let previous = self
-            .inner
+        self.inner
             .capacity_per_shard
-            .swap(capacity.max(1), std::sync::atomic::Ordering::AcqRel);
-        if capacity.max(1) > previous {
-            for shard in &self.inner.shards {
-                // Take the state lock so the notify cannot race a waiter
-                // between its capacity check and its wait.
-                let _state = lock(&shard.state);
-                shard.cond.notify_all();
-            }
-        }
-        previous
+            .swap(capacity.max(1), std::sync::atomic::Ordering::AcqRel)
     }
 
     /// Resident count of every shard, in shard order — the occupancy view
@@ -250,7 +212,7 @@ impl ResourceManager {
         self.inner
             .shards
             .iter()
-            .map(|s| lock(&s.state).ctrl.resident_count())
+            .map(|s| lock(s).ctrl.resident_count())
             .collect()
     }
 
@@ -278,7 +240,7 @@ impl ResourceManager {
         self.inner
             .shards
             .iter()
-            .map(|s| lock(&s.state).ctrl.resident_count())
+            .map(|s| lock(s).ctrl.resident_count())
             .enumerate()
             .min_by_key(|&(_, residents)| residents)
             .map(|(shard, _)| shard)
@@ -295,7 +257,7 @@ impl ResourceManager {
         self.inner
             .shards
             .iter()
-            .map(|s| lock(&s.state).ctrl.resident_count())
+            .map(|s| lock(s).ctrl.resident_count())
             .sum()
     }
 
@@ -306,7 +268,7 @@ impl ResourceManager {
     /// [`AdmitError::InvalidShard`] if out of range.
     pub fn resident_count_of(&self, shard: usize) -> Result<usize, AdmitError> {
         let shard = self.shard(shard)?;
-        Ok(lock(&shard.state).ctrl.resident_count())
+        Ok(lock(shard).ctrl.resident_count())
     }
 
     /// Independent snapshot of one shard's controller for lock-free
@@ -317,7 +279,7 @@ impl ResourceManager {
     /// [`AdmitError::InvalidShard`] if out of range.
     pub fn snapshot(&self, shard: usize) -> Result<AdmissionController, AdmitError> {
         let shard = self.shard(shard)?;
-        Ok(lock(&shard.state).ctrl.clone())
+        Ok(lock(shard).ctrl.clone())
     }
 
     /// Predicted period of a resident application under the shard's current
@@ -328,190 +290,78 @@ impl ResourceManager {
     /// [`AdmitError::InvalidShard`] / [`AdmitError::Analysis`].
     pub fn predicted_period(&self, shard: usize, app: AppId) -> Result<Rational, AdmitError> {
         let shard = self.shard(shard)?;
-        let state = lock(&shard.state);
+        let state = lock(shard);
         state
             .ctrl
             .predicted_period(app)
             .map_err(AdmitError::Analysis)
     }
 
-    /// Attempts to admit `app` on `shard`, waiting for capacity up to the
-    /// configured [`admit_timeout`](ResourceManagerConfig::admit_timeout).
+    /// Decides whether `app` joins `shard` now. Never blocks: a stopped
+    /// manager answers [`AdmitError::Stopped`], a full shard
+    /// [`AdmitError::Saturated`], and otherwise the shard's
+    /// [`AdmissionController`] decides under the shard lock.
     ///
     /// # Errors
     ///
-    /// [`AdmitError::Timeout`] when capacity never freed within the bound,
     /// [`AdmitError::Stopped`] after [`stop`](Self::stop),
+    /// [`AdmitError::Saturated`] when the shard is at capacity,
     /// [`AdmitError::InvalidShard`] / [`AdmitError::Analysis`] as usual.
     pub fn admit(
         &self,
-        shard: usize,
-        app: Application,
-        assignment: &[NodeId],
-        required_throughput: Option<Rational>,
-    ) -> Result<Admission, AdmitError> {
-        self.admit_within(
-            shard,
-            app,
-            assignment,
-            required_throughput,
-            self.inner.config.admit_timeout,
-        )
-    }
-
-    /// [`admit`](Self::admit) with an explicit wait bound (`None` waits
-    /// until capacity or [`stop`](Self::stop)).
-    ///
-    /// # Errors
-    ///
-    /// See [`admit`](Self::admit).
-    pub fn admit_within(
-        &self,
         shard_index: usize,
         app: Application,
         assignment: &[NodeId],
         required_throughput: Option<Rational>,
-        timeout: Option<Duration>,
     ) -> Result<Admission, AdmitError> {
-        let start = Instant::now();
-        let deadline = timeout.map(|t| start + t);
-        let shard = self.shard(shard_index)?;
-        let mut state = lock(&shard.state);
-
+        let mut state = lock(self.shard(shard_index)?);
+        let metrics = &self.inner.metrics;
         if state.stopped {
-            self.inner.metrics.record_stopped();
+            metrics.record_stopped();
             return Err(AdmitError::Stopped);
         }
-
-        // Fast path: free capacity and nobody queued ahead of us. The
-        // capacity is re-read at every check so elastic resizes apply to
-        // queued admissions too.
-        if state.waiters.is_empty() && state.ctrl.resident_count() < self.capacity_per_shard() {
-            return self.decide(
-                shard_index,
-                shard,
-                state,
-                app,
-                assignment,
-                required_throughput,
-                start,
-            );
+        // The capacity is read at decision time so elastic resizes apply
+        // to the very next admission.
+        if state.ctrl.resident_count() >= self.capacity_per_shard() {
+            metrics.record_saturated();
+            return Err(AdmitError::Saturated);
         }
-
-        // Slow path: queue up and wait for our turn.
-        let id = state.next_waiter;
-        state.next_waiter += 1;
-        state.waiters.push_back(id);
-        loop {
-            if state.stopped {
-                remove_waiter(&mut state, id);
-                self.inner.metrics.record_stopped();
-                return Err(AdmitError::Stopped);
-            }
-            let my_turn = match self.inner.config.queue_mode {
-                QueueMode::Fifo => state.waiters.front() == Some(&id),
-                QueueMode::Lifo => state.waiters.back() == Some(&id),
-            };
-            if my_turn && state.ctrl.resident_count() < self.capacity_per_shard() {
-                remove_waiter(&mut state, id);
-                // Remaining capacity may admit further waiters.
-                shard.cond.notify_all();
-                return self.decide(
-                    shard_index,
-                    shard,
-                    state,
-                    app,
-                    assignment,
-                    required_throughput,
-                    start,
-                );
-            }
-            state = match deadline {
-                Some(deadline) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        remove_waiter(&mut state, id);
-                        // We may have been the blocking queue head.
-                        shard.cond.notify_all();
-                        self.inner.metrics.record_timeout();
-                        return Err(AdmitError::Timeout);
-                    }
-                    let (guard, _) = shard
-                        .cond
-                        .wait_timeout(state, deadline - now)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    guard
-                }
-                None => shard
-                    .cond
-                    .wait(state)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner),
-            };
-        }
-    }
-
-    /// Runs the actual admission decision while holding the shard lock.
-    #[allow(clippy::too_many_arguments)]
-    fn decide(
-        &self,
-        shard_index: usize,
-        shard: &Shard,
-        mut state: std::sync::MutexGuard<'_, ShardState>,
-        app: Application,
-        assignment: &[NodeId],
-        required_throughput: Option<Rational>,
-        start: Instant,
-    ) -> Result<Admission, AdmitError> {
         match state.ctrl.admit(app, assignment, required_throughput) {
             Ok(AdmissionOutcome::Admitted {
                 id,
                 predicted_periods,
             }) => {
-                let wait = start.elapsed();
-                self.inner.metrics.record_admitted(wait);
-                drop(state);
+                metrics.record_admitted();
                 Ok(Admission::Admitted(Ticket {
                     inner: Arc::clone(&self.inner),
                     shard: shard_index,
                     app: Some(id),
                     predicted_period: predicted_periods.get(&id).copied(),
-                    queue_wait: wait,
                 }))
             }
             Ok(AdmissionOutcome::Rejected { violations }) => {
-                self.inner.metrics.record_rejected();
-                // No capacity consumed: the next waiter can try immediately.
-                drop(state);
-                shard.cond.notify_all();
+                metrics.record_rejected();
                 Ok(Admission::Rejected { violations })
             }
             Err(e) => {
-                self.inner.metrics.record_analysis_error();
-                drop(state);
-                shard.cond.notify_all();
+                metrics.record_analysis_error();
                 Err(AdmitError::Analysis(e))
             }
         }
     }
 
-    /// Stops the manager: every queued waiter wakes with
-    /// [`AdmitError::Stopped`], new admissions are refused, resident
-    /// tickets keep working (queries and release) so load drains
-    /// gracefully.
+    /// Stops the manager: new admissions are refused with
+    /// [`AdmitError::Stopped`], resident tickets keep working (queries and
+    /// release) so load drains gracefully.
     pub fn stop(&self) {
         for shard in &self.inner.shards {
-            let mut state = lock(&shard.state);
-            state.stopped = true;
-            shard.cond.notify_all();
+            lock(shard).stopped = true;
         }
     }
 
     /// `true` once [`stop`](Self::stop) has been called.
     pub fn is_stopped(&self) -> bool {
-        self.inner
-            .shards
-            .first()
-            .is_some_and(|s| lock(&s.state).stopped)
+        self.inner.shards.first().is_some_and(|s| lock(s).stopped)
     }
 
     fn shard(&self, index: usize) -> Result<&Shard, AdmitError> {
@@ -522,12 +372,6 @@ impl ResourceManager {
     }
 }
 
-fn remove_waiter(state: &mut ShardState, id: u64) {
-    if let Some(pos) = state.waiters.iter().position(|&w| w == id) {
-        state.waiters.remove(pos);
-    }
-}
-
 /// Owned admission: capacity on one shard held by one admitted
 /// application. Dropping the ticket releases it.
 pub struct Ticket {
@@ -535,7 +379,6 @@ pub struct Ticket {
     shard: usize,
     app: Option<AppId>,
     predicted_period: Option<Rational>,
-    queue_wait: Duration,
 }
 
 impl fmt::Debug for Ticket {
@@ -544,7 +387,6 @@ impl fmt::Debug for Ticket {
             .field("shard", &self.shard)
             .field("app", &self.app)
             .field("predicted_period", &self.predicted_period)
-            .field("queue_wait", &self.queue_wait)
             .finish()
     }
 }
@@ -570,11 +412,6 @@ impl Ticket {
         self.predicted_period
     }
 
-    /// Time the admission spent queued (capacity wait + analysis).
-    pub fn queue_wait(&self) -> Duration {
-        self.queue_wait
-    }
-
     /// Period predicted under the shard's *current* mix (which may have
     /// changed since admission).
     ///
@@ -582,9 +419,7 @@ impl Ticket {
     ///
     /// [`AdmitError::Analysis`] if the re-prediction fails.
     pub fn predicted_period_now(&self) -> Result<Rational, AdmitError> {
-        let shard = &self.inner.shards[self.shard];
-        let state = lock(&shard.state);
-        state
+        lock(&self.inner.shards[self.shard])
             .ctrl
             .predicted_period(self.app_id())
             .map_err(AdmitError::Analysis)
@@ -599,15 +434,15 @@ impl Ticket {
         let Some(app) = self.app.take() else {
             return;
         };
-        let shard = &self.inner.shards[self.shard];
-        let mut state = lock(&shard.state);
         // The id was handed out by this shard's controller; removal only
         // fails if the ticket outlived it, which `Arc` prevents.
-        if state.ctrl.remove(app).is_ok() {
+        if lock(&self.inner.shards[self.shard])
+            .ctrl
+            .remove(app)
+            .is_ok()
+        {
             self.inner.metrics.record_released();
         }
-        drop(state);
-        shard.cond.notify_all();
     }
 }
 
@@ -622,8 +457,6 @@ mod tests {
     use super::*;
     use platform::Application;
     use sdf::figure2_graphs;
-    use std::sync::mpsc;
-    use std::thread;
 
     const N3: [NodeId; 3] = [NodeId(0), NodeId(1), NodeId(2)];
 
@@ -636,8 +469,6 @@ mod tests {
         ResourceManager::new(ResourceManagerConfig {
             shards: 1,
             capacity_per_shard: capacity,
-            queue_mode: QueueMode::Fifo,
-            admit_timeout: Some(Duration::from_millis(50)),
         })
     }
 
@@ -688,52 +519,50 @@ mod tests {
     }
 
     #[test]
-    fn full_shard_times_out() {
+    fn full_shard_saturates() {
         let mgr = manager(1);
         let _a = mgr.admit(0, app("A"), &N3, None).unwrap().ticket().unwrap();
         let err = mgr.admit(0, app("B"), &N3, None).unwrap_err();
-        assert_eq!(err, AdmitError::Timeout);
-        assert_eq!(mgr.metrics().timeouts(), 1);
-    }
-
-    #[test]
-    fn waiter_admitted_after_release() {
-        let mgr = manager(1);
-        let ticket = mgr.admit(0, app("A"), &N3, None).unwrap().ticket().unwrap();
-        let mgr2 = mgr.clone();
-        let (tx, rx) = mpsc::channel();
-        let waiter = thread::spawn(move || {
-            tx.send(()).unwrap();
-            mgr2.admit_within(0, app("B"), &N3, None, Some(Duration::from_secs(10)))
-        });
-        rx.recv().unwrap();
-        // Give the waiter time to park, then free the capacity.
-        thread::sleep(Duration::from_millis(30));
-        ticket.release();
-        let admission = waiter.join().unwrap().unwrap();
-        assert!(matches!(admission, Admission::Admitted(_)));
+        assert_eq!(err, AdmitError::Saturated);
+        assert_eq!(mgr.metrics().saturated(), 1);
         assert_eq!(mgr.resident_count(), 1);
     }
 
     #[test]
-    fn stop_wakes_waiters_and_refuses_admissions() {
+    fn grown_capacity_admits_on_the_next_call() {
+        let mgr = manager(1);
+        let _a = mgr.admit(0, app("A"), &N3, None).unwrap().ticket().unwrap();
+        assert_eq!(
+            mgr.admit(0, app("B"), &N3, None).unwrap_err(),
+            AdmitError::Saturated
+        );
+        assert_eq!(mgr.set_capacity_per_shard(2), 1);
+        let b = mgr.admit(0, app("B"), &N3, None).unwrap();
+        assert!(matches!(b, Admission::Admitted(_)));
+    }
+
+    #[test]
+    fn stopped_full_manager_answers_stopped_and_still_drains() {
         let mgr = manager(1);
         let ticket = mgr.admit(0, app("A"), &N3, None).unwrap().ticket().unwrap();
-        let mgr2 = mgr.clone();
-        let waiter = thread::spawn(move || {
-            mgr2.admit_within(0, app("B"), &N3, None, Some(Duration::from_secs(10)))
-        });
-        thread::sleep(Duration::from_millis(30));
         mgr.stop();
-        assert_eq!(waiter.join().unwrap().unwrap_err(), AdmitError::Stopped);
+        assert!(mgr.is_stopped());
+        // Stopped is checked before capacity: a full, stopped shard answers
+        // `Stopped`, not `Saturated`.
         assert_eq!(
-            mgr.admit(0, app("C"), &N3, None).unwrap_err(),
+            mgr.admit(0, app("B"), &N3, None).unwrap_err(),
             AdmitError::Stopped
         );
+        assert_eq!(mgr.metrics().stopped_rejections(), 1);
+        assert_eq!(mgr.metrics().saturated(), 0);
         // Graceful drain: the resident ticket still queries and releases.
         assert!(ticket.predicted_period_now().is_ok());
         ticket.release();
         assert_eq!(mgr.resident_count(), 0);
+        assert_eq!(
+            mgr.admit(0, app("C"), &N3, None).unwrap_err(),
+            AdmitError::Stopped
+        );
     }
 
     #[test]
@@ -741,7 +570,6 @@ mod tests {
         let mgr = ResourceManager::new(ResourceManagerConfig {
             shards: 2,
             capacity_per_shard: 1,
-            ..ResourceManagerConfig::default()
         });
         let _a = mgr.admit(0, app("A"), &N3, None).unwrap().ticket().unwrap();
         // Shard 0 is full, shard 1 is not.

@@ -1,7 +1,6 @@
 //! Shared outcome counters for the online resource manager.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 /// Lock-free outcome counters shared by every thread driving a
 /// [`ResourceManager`](crate::ResourceManager).
@@ -10,12 +9,9 @@ pub struct RuntimeMetrics {
     admitted: AtomicU64,
     rejected: AtomicU64,
     released: AtomicU64,
-    timeouts: AtomicU64,
+    saturated: AtomicU64,
     stopped_rejections: AtomicU64,
     analysis_errors: AtomicU64,
-    queue_wait_micros: AtomicU64,
-    queue_wait_samples: AtomicU64,
-    queue_wait_max_micros: AtomicU64,
 }
 
 impl RuntimeMetrics {
@@ -24,13 +20,8 @@ impl RuntimeMetrics {
         RuntimeMetrics::default()
     }
 
-    pub(crate) fn record_admitted(&self, queue_wait: Duration) {
+    pub(crate) fn record_admitted(&self) {
         self.admitted.fetch_add(1, Ordering::Relaxed);
-        let micros = u64::try_from(queue_wait.as_micros()).unwrap_or(u64::MAX);
-        self.queue_wait_micros.fetch_add(micros, Ordering::Relaxed);
-        self.queue_wait_samples.fetch_add(1, Ordering::Relaxed);
-        self.queue_wait_max_micros
-            .fetch_max(micros, Ordering::Relaxed);
     }
 
     pub(crate) fn record_rejected(&self) {
@@ -41,8 +32,8 @@ impl RuntimeMetrics {
         self.released.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn record_timeout(&self) {
-        self.timeouts.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn record_saturated(&self) {
+        self.saturated.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn record_stopped(&self) {
@@ -68,9 +59,9 @@ impl RuntimeMetrics {
         self.released.load(Ordering::Relaxed)
     }
 
-    /// Admissions abandoned because the capacity wait timed out.
-    pub fn timeouts(&self) -> u64 {
-        self.timeouts.load(Ordering::Relaxed)
+    /// Admissions refused because the shard was at capacity.
+    pub fn saturated(&self) -> u64 {
+        self.saturated.load(Ordering::Relaxed)
     }
 
     /// Admissions refused because the manager was stopped.
@@ -82,21 +73,6 @@ impl RuntimeMetrics {
     pub fn analysis_errors(&self) -> u64 {
         self.analysis_errors.load(Ordering::Relaxed)
     }
-
-    /// Mean time an *admitted* request spent from call to decision
-    /// (queueing + analysis).
-    pub fn mean_queue_wait(&self) -> Duration {
-        let samples = self.queue_wait_samples.load(Ordering::Relaxed);
-        if samples == 0 {
-            return Duration::ZERO;
-        }
-        Duration::from_micros(self.queue_wait_micros.load(Ordering::Relaxed) / samples)
-    }
-
-    /// Worst time an admitted request spent from call to decision.
-    pub fn max_queue_wait(&self) -> Duration {
-        Duration::from_micros(self.queue_wait_max_micros.load(Ordering::Relaxed))
-    }
 }
 
 #[cfg(test)]
@@ -106,16 +82,14 @@ mod tests {
     #[test]
     fn metrics_accumulate() {
         let m = RuntimeMetrics::new();
-        m.record_admitted(Duration::from_micros(10));
-        m.record_admitted(Duration::from_micros(30));
+        m.record_admitted();
+        m.record_admitted();
         m.record_rejected();
         m.record_released();
-        m.record_timeout();
+        m.record_saturated();
         assert_eq!(m.admitted(), 2);
         assert_eq!(m.rejected(), 1);
         assert_eq!(m.released(), 1);
-        assert_eq!(m.timeouts(), 1);
-        assert_eq!(m.mean_queue_wait(), Duration::from_micros(20));
-        assert_eq!(m.max_queue_wait(), Duration::from_micros(30));
+        assert_eq!(m.saturated(), 1);
     }
 }

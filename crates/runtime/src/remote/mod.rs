@@ -207,10 +207,6 @@ pub enum WireOp {
         /// Estimation method.
         method: Method,
     },
-    /// Fetch the server-side decision journal, rendered as JSON lines in
-    /// one frame. Prefer [`WireOp::JournalPage`] for WAL-backed journals —
-    /// a single frame caps out at the transport's maximum frame size.
-    Journal,
     /// Fetch one bounded page of the server-side decision journal,
     /// starting at the given entry sequence number (page 0 carries the
     /// header/checkpoint prologue). The response's
@@ -252,9 +248,6 @@ pub enum WireBody {
     Snapshot(ServiceSnapshot),
     /// The computed estimate.
     Estimate(Estimate),
-    /// The server-side journal, rendered as JSON lines
-    /// ([`Journal::render`](crate::Journal::render)).
-    Journal(String),
     /// One bounded page of the server-side journal
     /// ([`Journal::render_page`](crate::Journal::render_page)).
     JournalPage(JournalPage),

@@ -44,8 +44,7 @@ use std::time::{Duration, Instant};
 /// page 0 carries the header/checkpoint prologue. The closure bridges the
 /// gap between the type-erased `Arc<dyn AdmissionService>` and the
 /// concrete stack that owns the [`Journal`](crate::Journal) — capture the
-/// stack and call `journal().render_page(from_seq, n).ok()`. Legacy
-/// [`WireOp::Journal`] requests are served by chaining pages server-side.
+/// stack and call `journal().render_page(from_seq, n).ok()`.
 pub type JournalSource = Box<dyn Fn(u64) -> Option<JournalPage> + Send + Sync>;
 
 /// Which [`WireMode`]s a server grants at handshake.
@@ -327,39 +326,6 @@ impl ServerShared {
                     Err(e) => WireBody::Error(WireFault::from(&e)),
                 }
             }
-            WireOp::Journal => match self.journal_source.as_ref() {
-                // The one-frame fetch is served by chaining pages: the
-                // source is bounded per call, the concatenation is the
-                // exact `Journal::render` text.
-                Some(source) => {
-                    let mut text = String::new();
-                    let mut from = 0u64;
-                    loop {
-                        match source(from) {
-                            Some(page) => {
-                                text.push_str(&page.text);
-                                match page.next_seq {
-                                    // A page that does not advance would
-                                    // loop forever; treat it as the end.
-                                    Some(next) if next > from => from = next,
-                                    Some(_) | None => break WireBody::Journal(text),
-                                }
-                            }
-                            None if text.is_empty() => {
-                                break WireBody::Error(WireFault::Config(
-                                    "server records no journal".to_string(),
-                                ))
-                            }
-                            None => {
-                                break WireBody::Error(WireFault::Config(
-                                    "journal page read failed mid-stream".to_string(),
-                                ))
-                            }
-                        }
-                    }
-                }
-                None => WireBody::Error(WireFault::Config("server records no journal".to_string())),
-            },
             WireOp::JournalPage { from_seq } => {
                 match self
                     .journal_source

@@ -826,13 +826,7 @@ impl AdmissionService for ResourceManager {
             Some(shard) => shard,
             None => self.least_loaded_shard(),
         };
-        match self.admit_within(
-            shard,
-            app,
-            &assignment,
-            request.required_throughput,
-            Some(Duration::ZERO),
-        ) {
+        match ResourceManager::admit(self, shard, app, &assignment, request.required_throughput) {
             Ok(Admission::Admitted(ticket)) => {
                 let resident = state.next_resident.fetch_add(1, Ordering::Relaxed);
                 let predicted_period = ticket.predicted_period().unwrap_or(Rational::ZERO);
@@ -847,7 +841,7 @@ impl AdmissionService for ResourceManager {
                 domain: shard,
                 violations,
             }),
-            Err(AdmitError::Timeout) => Ok(AdmissionDecision::Saturated { domain: shard }),
+            Err(AdmitError::Saturated) => Ok(AdmissionDecision::Saturated { domain: shard }),
             Err(AdmitError::Stopped) => Err(ServiceError::Stopped),
             Err(AdmitError::InvalidShard(s)) => Err(ServiceError::UnknownDomain(s)),
             Err(AdmitError::Analysis(e)) => Err(ServiceError::Analysis(e)),
@@ -872,16 +866,12 @@ impl AdmissionService for ResourceManager {
             capacity: self.capacity(),
             admitted: metrics.admitted(),
             rejected: metrics.rejected(),
-            saturated: metrics.timeouts(),
+            saturated: metrics.saturated(),
             released: metrics.released(),
             layers: vec![LayerMetrics::new("manager")
                 .counter("shards", self.shard_count() as u64)
                 .counter("stopped_rejections", metrics.stopped_rejections())
-                .counter("analysis_errors", metrics.analysis_errors())
-                .counter(
-                    "mean_queue_wait_us",
-                    metrics.mean_queue_wait().as_micros() as u64,
-                )],
+                .counter("analysis_errors", metrics.analysis_errors())],
         }
     }
 
@@ -1306,7 +1296,7 @@ impl<S: AdmissionService> AdmissionService for Journaled<S> {
 mod tests {
     use super::*;
     use crate::fleet::{FleetConfig, RoutingPolicy};
-    use crate::manager::{QueueMode, ResourceManagerConfig};
+    use crate::manager::ResourceManagerConfig;
     use platform::{Application, Mapping};
     use sdf::figure2_graphs;
 
@@ -1324,8 +1314,6 @@ mod tests {
         let manager = ResourceManager::new(ResourceManagerConfig {
             shards,
             capacity_per_shard: capacity,
-            queue_mode: QueueMode::Fifo,
-            admit_timeout: Some(Duration::from_millis(50)),
         });
         assert!(manager.bind_workload(spec()));
         manager

@@ -4,8 +4,8 @@
 //! Three client threads race to admit applications with throughput
 //! contracts onto a capacity-bounded shard; a fourth client serves
 //! repeated use-case queries through the estimate cache. Demonstrates
-//! ticket-based admit/release, contract rejections, bounded waiting,
-//! driving the same manager through the unified `AdmissionService` stack,
+//! ticket-based admit/release, contract rejections, non-blocking
+//! admission (a full shard answers `Saturated` at once), driving the same manager through the unified `AdmissionService` stack,
 //! and graceful stop.
 //!
 //! Run with: `cargo run --release --example online_resource_manager`
@@ -13,12 +13,11 @@
 use contention::Method;
 use platform::{Application, NodeId, SystemSpec, UseCase};
 use runtime::{
-    Admission, AdmissionRequest, AdmissionService, Cached, EstimateCache, QueueMode,
-    ResourceManager, ResourceManagerConfig,
+    Admission, AdmissionRequest, AdmissionService, Cached, EstimateCache, ResourceManager,
+    ResourceManagerConfig,
 };
 use sdf::{figure2_graphs, Rational};
 use std::sync::Arc;
-use std::time::Duration;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (graph_a, graph_b) = figure2_graphs();
@@ -27,8 +26,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let manager = ResourceManager::new(ResourceManagerConfig {
         shards: 1,
         capacity_per_shard: 3,
-        queue_mode: QueueMode::Fifo,
-        admit_timeout: Some(Duration::from_millis(250)),
     });
 
     println!("== concurrent admission with throughput contracts ==");
@@ -60,10 +57,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 |(i, h)| match h.join().expect("client thread does not panic") {
                     Ok(Admission::Admitted(ticket)) => {
                         println!(
-                            "client-{i}: admitted as {} (predicted period {}, waited {:?})",
+                            "client-{i}: admitted as {} (predicted period {})",
                             ticket.app_id(),
                             ticket.predicted_period().expect("predicted"),
-                            ticket.queue_wait(),
                         );
                         Some(ticket)
                     }
@@ -82,11 +78,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .collect::<Vec<_>>()
     });
     println!(
-        "residents: {} / capacity 3 (admitted {}, rejected {}, timed out {})",
+        "residents: {} / capacity 3 (admitted {}, rejected {}, saturated {})",
         manager.resident_count(),
         manager.metrics().admitted(),
         manager.metrics().rejected(),
-        manager.metrics().timeouts(),
+        manager.metrics().saturated(),
     );
 
     println!("\n== estimate cache for repeated use-case queries ==");

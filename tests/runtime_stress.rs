@@ -6,9 +6,7 @@
 use contention::Method;
 use platform::{Application, NodeId, SystemSpec, UseCase};
 use rand::{rngs::StdRng, RngCore, SeedableRng};
-use runtime::{
-    Admission, AdmitError, EstimateCache, QueueMode, ResourceManager, ResourceManagerConfig,
-};
+use runtime::{Admission, AdmitError, EstimateCache, ResourceManager, ResourceManagerConfig};
 use sdf::figure2_graphs;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -52,13 +50,12 @@ fn manager_survives_concurrent_admit_release_query() {
         let manager = ResourceManager::new(ResourceManagerConfig {
             shards: 2,
             capacity_per_shard: 4,
-            queue_mode: QueueMode::Fifo,
-            admit_timeout: Some(Duration::from_millis(200)),
         });
         let capacity_total = 2 * 4;
         let (graph_a, graph_b) = figure2_graphs();
         let nodes = [NodeId(0), NodeId(1), NodeId(2)];
         let decisions = AtomicU64::new(0);
+        let saturations = AtomicU64::new(0);
 
         std::thread::scope(|scope| {
             for t in 0..THREADS {
@@ -69,6 +66,7 @@ fn manager_survives_concurrent_admit_release_query() {
                     graph_b.clone()
                 };
                 let decisions = &decisions;
+                let saturations = &saturations;
                 scope.spawn(move || {
                     let app = Application::new(format!("stress-{t}"), graph).expect("valid graph");
                     let mut rng = StdRng::seed_from_u64(0x5EED_0000 + t as u64);
@@ -94,7 +92,10 @@ fn manager_survives_concurrent_admit_release_query() {
                                         decisions.fetch_add(1, Ordering::Relaxed);
                                         assert!(!violations.is_empty());
                                     }
-                                    Err(AdmitError::Timeout) => {}
+                                    // A full shard answers at once.
+                                    Err(AdmitError::Saturated) => {
+                                        saturations.fetch_add(1, Ordering::Relaxed);
+                                    }
                                     Err(e) => panic!("unexpected admit error: {e}"),
                                 }
                             }
@@ -125,10 +126,15 @@ fn manager_survives_concurrent_admit_release_query() {
         });
 
         assert!(decisions.load(Ordering::Relaxed) > 0, "no decisions made");
+        // Threads hold more tickets than the shards fit, so some admissions
+        // must have found a full shard, and each was counted exactly once.
+        let saturations = saturations.load(Ordering::Relaxed);
+        assert!(saturations > 0, "no admission ever saturated a shard");
         // Every ticket was dropped: the manager must be fully drained and
         // the books must balance.
         assert_eq!(manager.resident_count(), 0);
         let m = manager.metrics();
+        assert_eq!(m.saturated(), saturations);
         assert_eq!(m.admitted(), m.released(), "ticket leak");
         for shard in 0..manager.shard_count() {
             assert_eq!(
@@ -185,7 +191,8 @@ fn estimate_cache_is_consistent_under_concurrency() {
 }
 
 /// A batch of seeded requests driven through a bare `Cached` stack over
-/// a LIFO-mode sharded manager (no fleet) on many workers.
+/// a sharded manager (no fleet) on many workers; full shards answer
+/// `Saturated` at once.
 #[test]
 fn batch_executor_stress_preserves_invariants() {
     use runtime::{run_stack, seeded_fleet_requests, Cached, FleetRequest};
@@ -195,8 +202,6 @@ fn batch_executor_stress_preserves_invariants() {
         let manager = ResourceManager::new(ResourceManagerConfig {
             shards: 2,
             capacity_per_shard: 3,
-            queue_mode: QueueMode::Lifo,
-            admit_timeout: Some(Duration::from_millis(50)),
         });
         manager.bind_workload(spec.clone());
         let stack = Cached::new(manager.clone(), 16);
@@ -465,51 +470,50 @@ fn stop_under_load_drains_cleanly() {
         let manager = ResourceManager::new(ResourceManagerConfig {
             shards: 1,
             capacity_per_shard: 2,
-            queue_mode: QueueMode::Fifo,
-            admit_timeout: Some(Duration::from_secs(30)),
         });
         let (graph_a, _) = figure2_graphs();
         let nodes = [NodeId(0), NodeId(1), NodeId(2)];
+        let resident = |name: &str| {
+            manager
+                .admit(
+                    0,
+                    Application::new(name, graph_a.clone()).unwrap(),
+                    &nodes,
+                    None,
+                )
+                .unwrap()
+                .ticket()
+                .unwrap()
+        };
+        // Fill the shard, then stop it.
+        let a = resident("a");
+        let b = resident("b");
+        manager.stop();
 
         std::thread::scope(|scope| {
-            // Saturate capacity, then pile waiters behind it.
-            let a = manager
-                .admit(
-                    0,
-                    Application::new("a", graph_a.clone()).unwrap(),
-                    &nodes,
-                    None,
-                )
-                .unwrap()
-                .ticket()
-                .unwrap();
-            let b = manager
-                .admit(
-                    0,
-                    Application::new("b", graph_a.clone()).unwrap(),
-                    &nodes,
-                    None,
-                )
-                .unwrap()
-                .ticket()
-                .unwrap();
             for t in 0..4 {
                 let manager = manager.clone();
                 let graph = graph_a.clone();
                 scope.spawn(move || {
-                    let app = Application::new(format!("w{t}"), graph).unwrap();
-                    // Waiters must resolve to Stopped, never hang.
+                    let app = Application::new(format!("late{t}"), graph).unwrap();
+                    // Stopped is checked before capacity: a full, stopped
+                    // shard answers `Stopped`, never `Saturated`.
                     let result = manager.admit(0, app, &nodes, None);
-                    assert!(matches!(result, Err(AdmitError::Stopped)));
+                    assert!(matches!(result, Err(AdmitError::Stopped)), "{result:?}");
                 });
             }
-            std::thread::sleep(Duration::from_millis(50));
-            manager.stop();
-            // Residents drain gracefully after stop.
-            a.release();
-            b.release();
+            // Residents still query under the live mix while refusals land.
+            for ticket in [&a, &b] {
+                assert!(ticket.predicted_period_now().unwrap().is_positive());
+            }
         });
+        // Residents drain gracefully after stop.
+        a.release();
+        b.release();
         assert_eq!(manager.resident_count(), 0);
-        assert_eq!(manager.metrics().stopped_rejections(), 4);
+        let m = manager.metrics();
+        assert_eq!(m.stopped_rejections(), 4);
+        assert_eq!(m.saturated(), 0);
+        assert_eq!(m.admitted(), m.released());
     });
 }

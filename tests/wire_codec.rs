@@ -95,7 +95,6 @@ fn every_wire_op_variant_crosses_both_codecs_identically() {
             mask: 0b11,
             method: "order-2".parse().expect("method"),
         },
-        WireOp::Journal,
         WireOp::JournalPage { from_seq: 4096 },
         WireOp::Telemetry,
         WireOp::Trace { tail: 1_000_000 },
@@ -150,7 +149,6 @@ fn every_wire_body_variant_crosses_both_codecs_identically() {
         WireBody::Released,
         WireBody::Snapshot(stack.snapshot()),
         WireBody::Estimate((*estimate).clone()),
-        WireBody::Journal(journal.render()),
         WireBody::JournalPage(page),
         WireBody::Telemetry(Box::new(telemetry)),
         WireBody::Telemetry(Box::new(stack.telemetry())),
