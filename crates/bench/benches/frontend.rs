@@ -2,17 +2,19 @@
 //!
 //! Measures the cost of the unified service stack: the same
 //! admit+release round-trip batch executed (a) directly against a
-//! `ResourceManager`'s ticket API, (b) through its `AdmissionService`
-//! implementation, and (c) submitted through the async `FrontEnd` event
-//! loop (queued, decided by the worker pool, completion-waited). The
-//! deltas are the prices of the trait dispatch and of queue + wakeup,
-//! respectively.
+//! `ResourceManager`'s ticket API, (b) through the `AdmissionService`
+//! implementation of a one-group, one-shard `FleetManager` of the same
+//! capacity, and (c) submitted through the async `FrontEnd` event loop
+//! over such a fleet (queued, decided by the worker pool,
+//! completion-waited). The deltas are the prices of the fleet's routing,
+//! resident registry and journal plus the trait dispatch, and of queue +
+//! wakeup, respectively.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use platform::{Application, Mapping, NodeId, SystemSpec};
 use runtime::{
-    AdmissionRequest, AdmissionService, Completion, FrontEnd, FrontEndConfig, ResourceManager,
-    ResourceManagerConfig,
+    AdmissionRequest, AdmissionService, Completion, FleetConfig, FleetManager, FrontEnd,
+    FrontEndConfig, ResourceManager, ResourceManagerConfig, RoutingPolicy,
 };
 use sdf::figure2_graphs;
 
@@ -28,15 +30,22 @@ fn spec() -> SystemSpec {
         .expect("valid spec")
 }
 
+// Capacity covers a whole sample: the front-end case queues every
+// admission of a batch before the first release is submitted.
 fn manager() -> ResourceManager {
-    // Capacity covers a whole sample: the front-end case queues every
-    // admission of a batch before the first release is submitted.
-    let manager = ResourceManager::new(ResourceManagerConfig {
+    ResourceManager::new(ResourceManagerConfig {
         shards: 1,
         capacity_per_shard: OPS_PER_SAMPLE,
-    });
-    manager.bind_workload(spec());
-    manager
+    })
+}
+
+/// The manager's shape as a one-group fleet: the service-trait cases.
+fn fleet() -> FleetManager {
+    FleetManager::new(
+        spec(),
+        FleetConfig::uniform(1, 1, OPS_PER_SAMPLE, RoutingPolicy::LeastUtilised),
+    )
+    .expect("valid fleet")
 }
 
 fn bench_front_end_vs_direct(c: &mut Criterion) {
@@ -64,8 +73,8 @@ fn bench_front_end_vs_direct(c: &mut Criterion) {
         });
     });
 
-    // (b) The same manager through the AdmissionService trait.
-    let service = manager();
+    // (b) The same shape through the AdmissionService trait.
+    let service = fleet();
     group.bench_function(BenchmarkId::new("service_trait", "decisions"), |b| {
         b.iter(|| {
             for _ in 0..OPS_PER_SAMPLE {
@@ -80,7 +89,7 @@ fn bench_front_end_vs_direct(c: &mut Criterion) {
     // (c) Queued through the async front-end, batched submissions.
     for workers in [1usize, 4] {
         let front = FrontEnd::new(
-            Box::new(manager()),
+            Box::new(fleet()),
             FrontEndConfig {
                 workers,
                 queue_capacity: OPS_PER_SAMPLE * 2,

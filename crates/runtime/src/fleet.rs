@@ -54,7 +54,7 @@ use crate::manager::{Admission, AdmitError, ResourceManager, ResourceManagerConf
 use crate::telemetry::TraceRecorder;
 use crate::wal::{CheckpointGroup, CheckpointResident, FleetCheckpoint};
 use contention::Violation;
-use platform::{Application, NodeId, SystemSpec};
+use platform::{AppId, Application, NodeId, SystemSpec};
 use sdf::Rational;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -1691,9 +1691,17 @@ impl FleetManager {
     }
 
     /// Fresh instance + node assignment of the spec's application
-    /// `app_index` (callers reduce the index modulo the app count).
+    /// `app_index` (reduced modulo the application count).
     fn instantiate(&self, app_index: usize) -> (Application, Vec<NodeId>) {
-        crate::service::instantiate(&self.inner.spec, app_index)
+        let spec = &self.inner.spec;
+        let id = AppId(app_index % spec.application_count());
+        let app = spec.application(id).clone();
+        let assignment = app
+            .graph()
+            .actor_ids()
+            .map(|actor| spec.node_of(id, actor))
+            .collect();
+        (app, assignment)
     }
 }
 

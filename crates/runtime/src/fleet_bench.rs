@@ -4,8 +4,7 @@
 //! [`seeded_fleet_requests`] produces a deterministic
 //! admit/release/rebalance/estimate stream for a workload spec;
 //! [`run_stack`] drains it through **any** [`AdmissionService`] stack —
-//! over a local [`FleetManager`], a sharded
-//! [`ResourceManager`](crate::ResourceManager) or a
+//! over a local [`FleetManager`] or a
 //! [`RemoteClient`](crate::RemoteClient) — on a worker pool
 //! (single-threaded runs are fully deterministic, which is what the
 //! replay tests record). Every decision the run makes lands in the
@@ -246,10 +245,10 @@ impl TelemetryPoint {
 ///
 /// Admissions, releases and estimates go through the stack. Rebalance
 /// passes go to `fleet` directly (rebalancing is a fleet operation, not a
-/// service one); without a local fleet — a sharded
-/// [`ResourceManager`](crate::ResourceManager), a
-/// [`RemoteClient`](crate::RemoteClient) — they become snapshot probes,
-/// and the report's [`snapshot`](FleetBenchReport::snapshot) is `None`.
+/// service one); without a local fleet — a
+/// [`RemoteClient`](crate::RemoteClient), or a stack whose fleet the
+/// caller does not hand over — they become snapshot probes, and the
+/// report's [`snapshot`](FleetBenchReport::snapshot) is `None`.
 /// Residents admitted during the run are held in a shared pool (drained
 /// oldest-first by `Release` requests) and all released when the run
 /// ends, so the journal closes on an empty fleet. With `threads == 1` the
@@ -388,11 +387,8 @@ pub fn run_stack(
     let journal_len = match fleet {
         Some(fleet) => fleet.journal().len(),
         // Remote/fleetless stacks surface their journal length (if any)
-        // through a layer counter instead.
-        None => stack
-            .counter("fleet", "journal_entries")
-            .or_else(|| stack.counter("journaled", "entries"))
-            .unwrap_or(0) as usize,
+        // through the fleet's layer counter instead.
+        None => stack.counter("fleet", "journal_entries").unwrap_or(0) as usize,
     };
     let report = FleetBenchReport {
         requests: total,
@@ -410,7 +406,6 @@ pub fn run_stack(
 mod tests {
     use super::*;
     use crate::fleet::{FleetConfig, RoutingPolicy};
-    use crate::manager::{ResourceManager, ResourceManagerConfig};
     use crate::service::{Cached, ServiceError};
     use crate::telemetry::Traced;
     use contention::Estimate;
@@ -559,18 +554,23 @@ mod tests {
     }
 
     #[test]
-    fn run_drives_a_bare_sharded_manager_without_a_fleet() {
+    fn run_without_a_fleet_probes_instead_of_rebalancing() {
         let spec = spec();
-        let manager = ResourceManager::new(ResourceManagerConfig::default());
-        manager.bind_workload(spec.clone());
+        let fleet = FleetManager::new(
+            spec.clone(),
+            FleetConfig::uniform(1, 4, 16, RoutingPolicy::LeastUtilised),
+        )
+        .unwrap();
         let requests = seeded_fleet_requests(&spec, 1, 120, 42);
-        let (report, _) = run_stack(&manager, None, requests, 4, None);
+        let (report, _) = run_stack(&fleet, None, requests, 4, None);
         assert_eq!((report.requests, report.threads), (120, 4));
         assert!(report.snapshot.is_none());
         assert!(report.stack.admitted > 0, "{report:?}");
+        // The journal length still surfaces, through the fleet's counter.
+        assert_eq!(report.journal_len, fleet.journal().len());
         // No Cached layer: estimates still serve, no cache counters appear.
         assert_eq!(report.stack.counter("cached", "hits"), None);
-        assert_eq!(manager.resident_count(), 0);
+        assert_eq!(fleet.resident_count(), 0);
     }
 
     /// Admits panic; every other operation forwards to a real fleet.

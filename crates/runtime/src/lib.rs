@@ -5,25 +5,26 @@
 //! implements that controller single-threaded; this crate turns it into an
 //! online service able to serve heavy concurrent traffic:
 //!
-//! * [`ResourceManager`] — sharded, thread-safe admission front-end with
+//! * [`ResourceManager`] — sharded, thread-safe admission controllers with
 //!   ticket-based, non-blocking admit/release (a full shard answers
 //!   [`AdmitError::Saturated`] at once) and graceful
-//!   [`stop`](ResourceManager::stop);
+//!   [`stop`](ResourceManager::stop); every fleet group is one;
 //! * [`EstimateCache`] — LRU memoization of [`contention::estimate`]
 //!   results keyed by (spec fingerprint, use-case mask, method), with
 //!   observable hit/miss counters;
 //! * [`FleetManager`] — admissions routed across many named platform
 //!   groups ([`RoutingPolicy`]: least-utilised, round-robin,
 //!   affinity-by-use-case) with cross-group rebalancing and fleet-wide
-//!   metrics;
+//!   outcome counters; the one base [`AdmissionService`] and the one
+//!   journal recorder;
 //! * [`Journal`] — an append-only, checksummed log of every
 //!   admit/reject/release/rebalance decision, with [`JournalReplayer`]
 //!   verifying that re-executing a journal against a fresh fleet
 //!   reproduces every outcome (the engine behind `probcon fleet-bench` /
 //!   `probcon replay`);
-//! * [`AdmissionService`] — the unified service trait both managers
-//!   implement, with composable middleware layers [`Cached`],
-//!   [`Journaled`] and [`Traced`] (see [`service`]);
+//! * [`AdmissionService`] — the unified service trait the fleet
+//!   implements, with composable middleware layers [`Cached`] and
+//!   [`Traced`] (see [`service`]);
 //! * [`run_stack`] — the one request driver: a worker pool draining a
 //!   [`seeded_fleet_requests`] stream through any service stack,
 //!   reporting throughput, per-layer metrics and an optional telemetry
@@ -90,7 +91,6 @@ pub mod fleet_bench;
 pub mod frontend;
 pub mod journal;
 pub mod manager;
-pub mod metrics;
 pub mod planner;
 pub mod remote;
 pub mod service;
@@ -117,7 +117,6 @@ pub use journal::{
     ScaleAction, ScaleOutcome, ScaleRefusal, JOURNAL_CHECKPOINT_VERSION, JOURNAL_VERSION,
 };
 pub use manager::{Admission, AdmitError, ResourceManager, ResourceManagerConfig, Ticket};
-pub use metrics::RuntimeMetrics;
 pub use planner::{
     FleetShape, Flip, FlipKind, GroupUsage, OutcomeTotals, PlanError, PlanReport, PlanRun,
     PlanSweep, PolicyDecision, RouteMode, SaturationWindow, SweepReport,
@@ -125,11 +124,11 @@ pub use planner::{
 pub use remote::{
     BinaryCodec, ClientConfig, Endpoint, JournalSource, JsonLinesCodec, RemoteClient,
     RemoteClientStats, RemoteServer, RemoteServerConfig, RemoteServerStats, WireCodec, WireMode,
-    WirePolicy, MAX_FRAME, REMOTE_PROTOCOL_MIN_VERSION, REMOTE_PROTOCOL_VERSION,
+    WirePolicy, MAX_FRAME, REMOTE_PROTOCOL_VERSION,
 };
 pub use service::{
     AdmissionDecision, AdmissionRequest, AdmissionService, Cached, Completer, Completion,
-    Journaled, LayerMetrics, OpRate, ServiceError, ServiceSnapshot,
+    LayerMetrics, OpRate, ServiceError, ServiceSnapshot,
 };
 pub use telemetry::{
     build_span_trees, render_chrome_trace, ConnectionStats, EventLoopStats, HistogramRecorder,

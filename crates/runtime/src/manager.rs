@@ -16,7 +16,6 @@
 //! new admissions while letting resident tickets drain gracefully.
 
 use crate::cache::lock;
-use crate::metrics::RuntimeMetrics;
 use contention::{AdmissionController, AdmissionOutcome, ContentionError, Violation};
 use platform::{AppId, Application, NodeId};
 use sdf::Rational;
@@ -120,10 +119,6 @@ struct Inner {
     /// survive a shrink (an over-full shard simply refuses new admissions
     /// until it drains below the new bound).
     capacity_per_shard: std::sync::atomic::AtomicUsize,
-    metrics: RuntimeMetrics,
-    /// Bound workload spec + resident registry for the
-    /// [`AdmissionService`](crate::AdmissionService) path.
-    service: crate::service::ServiceState,
 }
 
 /// Thread-safe, sharded online resource manager (see the
@@ -167,19 +162,8 @@ impl ResourceManager {
                 capacity_per_shard: std::sync::atomic::AtomicUsize::new(
                     config.capacity_per_shard.max(1),
                 ),
-                metrics: RuntimeMetrics::new(),
-                service: crate::service::ServiceState::default(),
             }),
         }
-    }
-
-    /// Binds the workload spec that
-    /// [`AdmissionService`](crate::AdmissionService) requests index into.
-    /// Returns `false` (leaving the original spec bound) if a spec was
-    /// already bound — the binding is write-once because cached fingerprints
-    /// and resident instantiations depend on it.
-    pub fn bind_workload(&self, spec: platform::SystemSpec) -> bool {
-        self.inner.service.spec.set(spec).is_ok()
     }
 
     /// Total resident capacity (`shards × capacity_per_shard`).
@@ -216,10 +200,6 @@ impl ResourceManager {
             .collect()
     }
 
-    pub(crate) fn service_state(&self) -> &crate::service::ServiceState {
-        &self.inner.service
-    }
-
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.inner.shards.len()
@@ -230,26 +210,6 @@ impl ResourceManager {
         // One RNG step avalanches sequential keys across shards.
         use rand::{rngs::StdRng, RngCore, SeedableRng};
         StdRng::seed_from_u64(key).next_u64() as usize % self.inner.shards.len()
-    }
-
-    /// Shard with the fewest residents (ties toward the lowest index) — a
-    /// deterministic function of the resident mix, used by the
-    /// [`AdmissionService`](crate::AdmissionService) path to fill all
-    /// shards evenly.
-    pub fn least_loaded_shard(&self) -> usize {
-        self.inner
-            .shards
-            .iter()
-            .map(|s| lock(s).ctrl.resident_count())
-            .enumerate()
-            .min_by_key(|&(_, residents)| residents)
-            .map(|(shard, _)| shard)
-            .unwrap_or(0)
-    }
-
-    /// Shared outcome counters.
-    pub fn metrics(&self) -> &RuntimeMetrics {
-        &self.inner.metrics
     }
 
     /// Total resident applications across all shards.
@@ -315,38 +275,25 @@ impl ResourceManager {
         required_throughput: Option<Rational>,
     ) -> Result<Admission, AdmitError> {
         let mut state = lock(self.shard(shard_index)?);
-        let metrics = &self.inner.metrics;
         if state.stopped {
-            metrics.record_stopped();
             return Err(AdmitError::Stopped);
         }
         // The capacity is read at decision time so elastic resizes apply
         // to the very next admission.
         if state.ctrl.resident_count() >= self.capacity_per_shard() {
-            metrics.record_saturated();
             return Err(AdmitError::Saturated);
         }
-        match state.ctrl.admit(app, assignment, required_throughput) {
-            Ok(AdmissionOutcome::Admitted {
+        match state.ctrl.admit(app, assignment, required_throughput)? {
+            AdmissionOutcome::Admitted {
                 id,
                 predicted_periods,
-            }) => {
-                metrics.record_admitted();
-                Ok(Admission::Admitted(Ticket {
-                    inner: Arc::clone(&self.inner),
-                    shard: shard_index,
-                    app: Some(id),
-                    predicted_period: predicted_periods.get(&id).copied(),
-                }))
-            }
-            Ok(AdmissionOutcome::Rejected { violations }) => {
-                metrics.record_rejected();
-                Ok(Admission::Rejected { violations })
-            }
-            Err(e) => {
-                metrics.record_analysis_error();
-                Err(AdmitError::Analysis(e))
-            }
+            } => Ok(Admission::Admitted(Ticket {
+                inner: Arc::clone(&self.inner),
+                shard: shard_index,
+                app: Some(id),
+                predicted_period: predicted_periods.get(&id).copied(),
+            })),
+            AdmissionOutcome::Rejected { violations } => Ok(Admission::Rejected { violations }),
         }
     }
 
@@ -436,13 +383,7 @@ impl Ticket {
         };
         // The id was handed out by this shard's controller; removal only
         // fails if the ticket outlived it, which `Arc` prevents.
-        if lock(&self.inner.shards[self.shard])
-            .ctrl
-            .remove(app)
-            .is_ok()
-        {
-            self.inner.metrics.record_released();
-        }
+        let _ = lock(&self.inner.shards[self.shard]).ctrl.remove(app);
     }
 }
 
@@ -486,8 +427,6 @@ mod tests {
         );
         ticket.release();
         assert_eq!(mgr.resident_count(), 0);
-        assert_eq!(mgr.metrics().admitted(), 1);
-        assert_eq!(mgr.metrics().released(), 1);
     }
 
     #[test]
@@ -515,7 +454,6 @@ mod tests {
         };
         assert!(!violations.is_empty());
         assert_eq!(mgr.resident_count(), 1);
-        assert_eq!(mgr.metrics().rejected(), 1);
     }
 
     #[test]
@@ -524,7 +462,6 @@ mod tests {
         let _a = mgr.admit(0, app("A"), &N3, None).unwrap().ticket().unwrap();
         let err = mgr.admit(0, app("B"), &N3, None).unwrap_err();
         assert_eq!(err, AdmitError::Saturated);
-        assert_eq!(mgr.metrics().saturated(), 1);
         assert_eq!(mgr.resident_count(), 1);
     }
 
@@ -553,8 +490,6 @@ mod tests {
             mgr.admit(0, app("B"), &N3, None).unwrap_err(),
             AdmitError::Stopped
         );
-        assert_eq!(mgr.metrics().stopped_rejections(), 1);
-        assert_eq!(mgr.metrics().saturated(), 0);
         // Graceful drain: the resident ticket still queries and releases.
         assert!(ticket.predicted_period_now().is_ok());
         ticket.release();

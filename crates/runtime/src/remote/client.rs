@@ -3,15 +3,14 @@
 //!
 //! The client speaks the negotiated [`WireMode`] after a JSON handshake
 //! (see the [module docs](super)). It defaults to requesting binary
-//! frames and transparently reconnects at protocol v3 (JSON-only) when
-//! the far end is an older server, so one binary-preferring client binary
-//! interoperates with every deployed server generation.
+//! frames; a server speaking another protocol version refuses the hello,
+//! and the connect fails with a typed error naming both versions.
 
 use super::codec::{decode_message, write_frame, FrameEvent, FrameReader, WireCodec, WireMode};
 use super::endpoint::{Conn, Endpoint};
 use super::{
     ClientHello, ServerHello, WireBody, WireOp, WireRequest, WireResponse, MAGIC,
-    REMOTE_PROTOCOL_MIN_VERSION, REMOTE_PROTOCOL_VERSION,
+    REMOTE_PROTOCOL_VERSION,
 };
 use crate::cache::lock;
 use crate::journal::{Journal, JournalError, JournalPage};
@@ -282,20 +281,13 @@ pub struct RemoteClientStats {
     pub pending: u64,
 }
 
-/// What one handshake attempt concluded.
-enum Handshake {
-    /// Connected; carries everything the running client needs.
-    Done {
-        writer: Conn,
-        shutdown_handle: Conn,
-        reader: FrameReader<Conn>,
-        hello: Box<ServerHello>,
-        mode: WireMode,
-    },
-    /// The server answered with a lower version it does speak; reconnect
-    /// fresh at that version (the server closed this connection after
-    /// refusing).
-    Downgrade(u64),
+/// A completed handshake: everything the running client needs.
+struct Handshake {
+    writer: Conn,
+    shutdown_handle: Conn,
+    reader: FrameReader<Conn>,
+    hello: ServerHello,
+    mode: WireMode,
 }
 
 /// An [`AdmissionService`] whose decisions are made by a [`RemoteServer`]
@@ -320,8 +312,7 @@ impl fmt::Debug for RemoteClient {
 
 impl RemoteClient {
     /// Connects and handshakes with the server at `addr`, requesting
-    /// binary framing (granted when the server speaks v4 and allows it;
-    /// JSON otherwise).
+    /// binary framing (granted unless the server's policy is JSON-only).
     ///
     /// # Errors
     ///
@@ -391,19 +382,13 @@ impl RemoteClient {
         config: ClientConfig,
     ) -> Result<RemoteClient, ServiceError> {
         let transport = ServiceError::Transport;
-        let mut version = REMOTE_PROTOCOL_VERSION;
-        let (writer, shutdown_handle, mut reader, hello, mode) = loop {
-            match RemoteClient::attempt(addr, &config, version)? {
-                Handshake::Done {
-                    writer,
-                    shutdown_handle,
-                    reader,
-                    hello,
-                    mode,
-                } => break (writer, shutdown_handle, reader, hello, mode),
-                Handshake::Downgrade(older) => version = older,
-            }
-        };
+        let Handshake {
+            writer,
+            shutdown_handle,
+            mut reader,
+            hello,
+            mode,
+        } = RemoteClient::handshake(addr, &config)?;
         // Handshake done. Without a response deadline the reader blocks
         // until the server answers; with one, it polls so the deadline can
         // be enforced between frames.
@@ -448,13 +433,9 @@ impl RemoteClient {
         })
     }
 
-    /// One connection + hello exchange at `version`. Hellos are always
-    /// JSON-framed, whatever `config.wire` asks for.
-    fn attempt(
-        addr: &Endpoint,
-        config: &ClientConfig,
-        version: u64,
-    ) -> Result<Handshake, ServiceError> {
+    /// One connection + hello exchange. Hellos are always JSON-framed,
+    /// whatever `config.wire` asks for.
+    fn handshake(addr: &Endpoint, config: &ClientConfig) -> Result<Handshake, ServiceError> {
         let transport = ServiceError::Transport;
         let conn = Conn::connect(addr).map_err(|e| transport(format!("connect {addr}: {e}")))?;
         conn.set_read_timeout(Some(
@@ -472,11 +453,9 @@ impl RemoteClient {
             &super::codec::JsonLinesCodec,
             &ClientHello {
                 magic: MAGIC.to_string(),
-                version,
+                version: REMOTE_PROTOCOL_VERSION,
                 client: config.client.clone(),
-                // Only a v4 hello may carry a wire request — a v3 server
-                // ignores unknown fields anyway, but stay byte-compatible.
-                wire: (version >= 4).then(|| config.wire.name().to_string()),
+                wire: Some(config.wire.name().to_string()),
             },
         )
         .map_err(transport)?;
@@ -497,36 +476,26 @@ impl RemoteClient {
                 hello.magic
             )));
         }
-        if hello.version == version {
-            // Agreement. The granted mode is whatever the server said —
-            // absent or unparseable grants (v3 servers) mean JSON.
-            let mode = if version >= 4 {
-                hello
-                    .wire
-                    .as_deref()
-                    .and_then(|w| w.parse().ok())
-                    .unwrap_or(WireMode::Json)
-            } else {
-                WireMode::Json
-            };
-            return Ok(Handshake::Done {
-                writer,
-                shutdown_handle,
-                reader,
-                hello: Box::new(hello),
-                mode,
-            });
+        if hello.version != REMOTE_PROTOCOL_VERSION {
+            return Err(transport(format!(
+                "protocol version mismatch: client {REMOTE_PROTOCOL_VERSION}, server {}",
+                hello.version
+            )));
         }
-        if hello.version < version && hello.version >= REMOTE_PROTOCOL_MIN_VERSION {
-            // An older server names the newest version it speaks while
-            // refusing; reconnect fresh at that version (the refusal
-            // closed this connection).
-            return Ok(Handshake::Downgrade(hello.version));
-        }
-        Err(transport(format!(
-            "protocol version mismatch: client {version}, server {}",
-            hello.version
-        )))
+        // Agreement. The granted mode is whatever the server said; an
+        // absent or unparseable grant means JSON.
+        let mode = hello
+            .wire
+            .as_deref()
+            .and_then(|w| w.parse().ok())
+            .unwrap_or(WireMode::Json);
+        Ok(Handshake {
+            writer,
+            shutdown_handle,
+            reader,
+            hello,
+            mode,
+        })
     }
 
     /// The server's address.
@@ -534,16 +503,15 @@ impl RemoteClient {
         &self.shared.peer
     }
 
-    /// The framing negotiated at handshake — [`WireMode::Binary`] against
-    /// a v4 server granting the default request, [`WireMode::Json`]
-    /// against v3 servers, JSON-only policies, or an explicit
-    /// [`ClientConfig::wire`] of JSON.
+    /// The framing negotiated at handshake — [`WireMode::Binary`] when
+    /// the server grants the default request, [`WireMode::Json`] under a
+    /// JSON-only server policy or an explicit [`ClientConfig::wire`] of
+    /// JSON.
     pub fn wire_mode(&self) -> WireMode {
         self.shared.wire
     }
 
-    /// Admission domains (fleet groups / manager shards) the server
-    /// advertised at handshake.
+    /// Admission domains (fleet groups) the server advertised at handshake.
     pub fn domains(&self) -> usize {
         self.shared.domains as usize
     }

@@ -17,7 +17,7 @@ use super::codec::{
 use super::endpoint::{is_timeout, Conn, Endpoint, Listener};
 use super::{
     ClientHello, ServerHello, WireBody, WireFault, WireOp, WireRequest, WireResponse, MAGIC,
-    REMOTE_PROTOCOL_MIN_VERSION, REMOTE_PROTOCOL_VERSION,
+    REMOTE_PROTOCOL_VERSION,
 };
 use crate::cache::lock;
 use crate::frontend::{FrontEnd, FrontEndConfig};
@@ -50,12 +50,12 @@ pub type JournalSource = Box<dyn Fn(u64) -> Option<JournalPage> + Send + Sync>;
 /// Which [`WireMode`]s a server grants at handshake.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WirePolicy {
-    /// Grant each v4 client its requested mode — binary-capable clients
-    /// get compact frames, v3 peers and explicit JSON requesters get
-    /// JSON lines. The default.
+    /// Grant each client its requested mode — binary-capable clients get
+    /// compact frames, explicit JSON requesters (and hellos naming no
+    /// mode) get JSON lines. The default.
     #[default]
     Auto,
-    /// Force JSON lines for every connection — the debug/interop mode
+    /// Force JSON lines for every connection — the debug mode
     /// (`probcon serve --wire json`): every frame on every connection is
     /// greppable text, regardless of what clients ask for.
     JsonOnly,
@@ -285,10 +285,9 @@ struct ServerShared {
 
 impl ServerShared {
     fn handshake_domains(&self) -> u64 {
-        let snapshot = self.service.snapshot();
-        snapshot
+        self.service
+            .snapshot()
             .counter("fleet", "groups")
-            .or_else(|| snapshot.counter("manager", "shards"))
             .unwrap_or(1)
     }
 
@@ -852,30 +851,21 @@ impl EventLoop {
         };
         let domains = self.shared.handshake_domains();
         match hello {
-            Ok(hello)
-                if hello.magic == MAGIC
-                    && (REMOTE_PROTOCOL_MIN_VERSION..=REMOTE_PROTOCOL_VERSION)
-                        .contains(&hello.version) =>
-            {
-                let negotiated = hello.version.min(REMOTE_PROTOCOL_VERSION);
-                let granted = if negotiated >= 4 {
-                    match self.shared.config.wire {
-                        WirePolicy::JsonOnly => WireMode::Json,
-                        WirePolicy::Auto => hello
-                            .wire
-                            .as_deref()
-                            .and_then(|w| w.parse().ok())
-                            .unwrap_or(WireMode::Json),
-                    }
-                } else {
-                    WireMode::Json
+            Ok(hello) if hello.magic == MAGIC && hello.version == REMOTE_PROTOCOL_VERSION => {
+                let granted = match self.shared.config.wire {
+                    WirePolicy::JsonOnly => WireMode::Json,
+                    WirePolicy::Auto => hello
+                        .wire
+                        .as_deref()
+                        .and_then(|w| w.parse().ok())
+                        .unwrap_or(WireMode::Json),
                 };
                 conn.push_response_hello(&ServerHello {
                     magic: MAGIC.to_string(),
-                    version: negotiated,
+                    version: REMOTE_PROTOCOL_VERSION,
                     workload: self.shared.service.workload().cloned(),
                     domains,
-                    wire: (negotiated >= 4).then(|| granted.name().to_string()),
+                    wire: Some(granted.name().to_string()),
                 });
                 // The granted codec takes over from the next frame on.
                 conn.codec = granted.codec();

@@ -1,38 +1,33 @@
 //! The unified, layered admission-service API.
 //!
-//! Every online surface of this crate used to expose its own
-//! request/response shape: [`ResourceManager`] returned tickets, the
-//! [`FleetManager`] its own admission enum, caching and journaling were
-//! bolted on *beside* the managers. This module turns them into **one
-//! protocol with many channels**: a typed [`AdmissionRequest`] /
-//! [`AdmissionDecision`] vocabulary and an [`AdmissionService`] trait that
-//! both managers implement, plus tower-style middleware that composes via
-//! generics:
+//! This module is **one protocol with many channels**: a typed
+//! [`AdmissionRequest`] / [`AdmissionDecision`] vocabulary and an
+//! [`AdmissionService`] trait. The one base service is the
+//! [`FleetManager`] — it decides, keeps the resident registry and
+//! journals every decision (admits, releases, rebalances and resizes) in
+//! its own [`Journal`](crate::Journal). Tower-style middleware composes
+//! over it via generics:
 //!
 //! * [`Cached<S>`] — serves [`estimate`](AdmissionService::estimate)
 //!   requests from an LRU [`EstimateCache`], with per-layer hit/miss
 //!   metrics and [sign-off warming](Cached::warm_from_signoff);
-//! * [`Journaled<S>`] — records every decision of *any* service into an
-//!   append-only [`Journal`] replayable by
-//!   [`JournalReplayer`](crate::JournalReplayer);
 //! * [`Traced<S>`](crate::Traced) — per-operation latency/throughput
 //!   counters and the decision flight recorder (see
 //!   [`telemetry`](crate::telemetry)).
 //!
-//! Layers compose in any order with equivalent decisions (`Cached` and
-//! `Traced` are decision-transparent; `Journaled` only observes), so a
-//! stack like `Traced<Cached<Journaled<FleetManager>>>` is built from
-//! plain constructors and driven through `Box<dyn AdmissionService>` — the
-//! [`FrontEnd`](crate::FrontEnd) event loop multiplexes thousands of
-//! queued admissions over exactly this object.
+//! Layers compose in any order with equivalent decisions (both are
+//! decision-transparent), so a stack like `Traced<Cached<FleetManager>>`
+//! is built from plain constructors and driven through
+//! `Box<dyn AdmissionService>` — the [`FrontEnd`](crate::FrontEnd) event
+//! loop multiplexes thousands of queued admissions over exactly this
+//! object.
 //!
 //! # Example
 //!
 //! ```
 //! use platform::{Application, Mapping, SystemSpec};
 //! use runtime::{
-//!     AdmissionRequest, AdmissionService, Cached, FleetConfig, FleetManager, Journaled,
-//!     RoutingPolicy,
+//!     AdmissionRequest, AdmissionService, Cached, FleetConfig, FleetManager, RoutingPolicy,
 //! };
 //! use sdf::figure2_graphs;
 //!
@@ -44,9 +39,9 @@
 //!     .build()?;
 //! let fleet = FleetManager::new(spec, FleetConfig::default())?;
 //!
-//! // Layer journal recording and estimate caching over the fleet; the
-//! // stack is still one AdmissionService.
-//! let stack = Cached::new(Journaled::new(fleet), 64);
+//! // Layer estimate caching over the fleet; the stack is still one
+//! // AdmissionService, and the fleet journals what it decides.
+//! let stack = Cached::new(fleet, 64);
 //! let decision = stack.admit(&AdmissionRequest::new(0))?;
 //! assert!(decision.is_admitted());
 //! stack.release(decision.resident().expect("admitted"))?;
@@ -54,23 +49,22 @@
 //! let snapshot = stack.snapshot();
 //! assert_eq!(snapshot.admitted, 1);
 //! assert_eq!(snapshot.released, 1);
-//! assert_eq!(snapshot.counter("journaled", "entries"), Some(2));
+//! assert_eq!(snapshot.counter("fleet", "journal_entries"), Some(2));
+//! assert_eq!(stack.inner().journal().len(), 2);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 use crate::cache::{lock, CacheKey, EstimateCache};
 use crate::fleet::{FleetAdmission, FleetError, FleetManager};
-use crate::journal::{DecisionEvent, Journal, JournalHeader, JournalOutcome};
-use crate::manager::{Admission, AdmitError, ResourceManager, Ticket};
+use crate::manager::AdmitError;
 use crate::telemetry::{
     SpanContext, SpanScope, TelemetrySnapshot, TraceEvent, TraceKind, TraceRecorder,
 };
-use contention::{AdmissionOutcome, ContentionError, Estimate, Method, Violation};
+use contention::{ContentionError, Estimate, Method, Violation};
 use experiments::signoff::SignOffReport;
-use platform::{AppId, Application, NodeId, SystemSpec, UseCase};
+use platform::{SystemSpec, UseCase};
 use sdf::Rational;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -79,9 +73,9 @@ use std::time::{Duration, Instant};
 /// One admission request, phrased against the service's workload spec.
 ///
 /// Requests are *spec-relative*: they name the application by index, so the
-/// same request stream can drive any [`AdmissionService`] — a single
-/// manager, a fleet, or a middleware stack — without knowing how the
-/// service instantiates and maps the application.
+/// same request stream can drive any [`AdmissionService`] — a fleet, a
+/// middleware stack or a remote client — without knowing how the service
+/// instantiates and maps the application.
 ///
 /// Serializable: the [`remote`](crate::remote) transport ships requests
 /// between processes exactly as drivers phrase them.
@@ -95,8 +89,8 @@ pub struct AdmissionRequest {
     /// Affinity tag steering tag-aware routing (ignored by services without
     /// affinity routing).
     pub affinity: Option<String>,
-    /// Explicit admission domain (fleet group / manager shard) bypassing
-    /// the service's routing; `None` lets the service route.
+    /// Explicit admission domain (fleet group) bypassing the service's
+    /// routing; `None` lets the service route.
     pub target: Option<usize>,
     /// Causal span context minted at the outermost layer that saw the
     /// request (remote client / front-end); layers derive child spans
@@ -148,10 +142,8 @@ impl AdmissionRequest {
 
 /// The shared decision vocabulary: what any [`AdmissionService`] answers.
 ///
-/// This is the one decision enum the crate's previously divergent shapes
-/// (`contention::AdmissionOutcome`, `runtime::Admission`,
-/// `runtime::FleetAdmission`) convert into — see the `From` conversions —
-/// and the only shape middleware layers and the
+/// The fleet's [`FleetAdmission`] converts into it (see the `From`
+/// conversion), and it is the only shape middleware layers and the
 /// [`FrontEnd`](crate::FrontEnd) ever see.
 ///
 /// Serializable: decisions cross the [`remote`](crate::remote) wire with
@@ -163,7 +155,7 @@ pub enum AdmissionDecision {
     Admitted {
         /// Service-scoped resident id keying the later release.
         resident: u64,
-        /// Admission domain (fleet group / manager shard) that decided.
+        /// Admission domain (fleet group) that decided.
         domain: usize,
         /// Period predicted for the new resident at admission time.
         predicted_period: Rational,
@@ -229,27 +221,6 @@ impl fmt::Display for AdmissionDecision {
     }
 }
 
-/// Conversion from the admission controller's outcome, given the domain
-/// that ran the analysis.
-impl From<(usize, &AdmissionOutcome)> for AdmissionDecision {
-    fn from((domain, outcome): (usize, &AdmissionOutcome)) -> AdmissionDecision {
-        match outcome {
-            AdmissionOutcome::Admitted {
-                id,
-                predicted_periods,
-            } => AdmissionDecision::Admitted {
-                resident: id.0 as u64,
-                domain,
-                predicted_period: predicted_periods.get(id).copied().unwrap_or(Rational::ZERO),
-            },
-            AdmissionOutcome::Rejected { violations } => AdmissionDecision::Rejected {
-                domain,
-                violations: violations.clone(),
-            },
-        }
-    }
-}
-
 /// Conversion from the fleet's admission shape (non-owning: the ticket
 /// keeps the capacity).
 impl From<&FleetAdmission> for AdmissionDecision {
@@ -273,8 +244,8 @@ impl From<&FleetAdmission> for AdmissionDecision {
 /// rejection or saturation — those are [`AdmissionDecision`]s).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServiceError {
-    /// The service has no workload spec bound
-    /// (see [`ResourceManager::bind_workload`]).
+    /// The service has no workload spec
+    /// ([`AdmissionService::workload`] is `None`).
     NoWorkload,
     /// The resident id is not (or no longer) live on this service.
     UnknownResident(u64),
@@ -353,8 +324,8 @@ pub struct OpRate {
 /// [`AdmissionService::snapshot`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LayerMetrics {
-    /// Layer name (`"manager"`, `"fleet"`, `"cached"`, `"journaled"`,
-    /// `"traced"`, `"front-end"`).
+    /// Layer name (`"fleet"`, `"cached"`, `"traced"`, `"front-end"`,
+    /// `"remote"`, …).
     pub layer: String,
     /// Ordered `(metric, value)` counters.
     pub counters: Vec<(String, u64)>,
@@ -511,7 +482,7 @@ pub trait AdmissionService: Send + Sync {
     /// per-layer metrics appended by every middleware layer.
     fn snapshot(&self) -> ServiceSnapshot;
 
-    /// The workload spec requests index into (`None` when unbound).
+    /// The workload spec requests index into (`None` when the service has none).
     fn workload(&self) -> Option<&SystemSpec>;
 
     /// Estimates all per-application periods of `use_case` under `method`.
@@ -784,101 +755,8 @@ impl<T> Drop for Completer<T> {
 }
 
 // ---------------------------------------------------------------------------
-// Base implementations: ResourceManager, FleetManager.
+// The base implementation: FleetManager.
 // ---------------------------------------------------------------------------
-
-/// Per-manager service bookkeeping: the bound workload spec and the
-/// resident registry keying service releases.
-#[derive(Debug, Default)]
-pub(crate) struct ServiceState {
-    pub(crate) spec: OnceLock<SystemSpec>,
-    pub(crate) residents: Mutex<BTreeMap<u64, Ticket>>,
-    pub(crate) next_resident: AtomicU64,
-}
-
-/// Fresh instance + node assignment of the spec's application `app_index`
-/// (reduced modulo the application count).
-pub(crate) fn instantiate(spec: &SystemSpec, app_index: usize) -> (Application, Vec<NodeId>) {
-    let id = AppId(app_index % spec.application_count());
-    let app = spec.application(id).clone();
-    let assignment = app
-        .graph()
-        .actor_ids()
-        .map(|actor| spec.node_of(id, actor))
-        .collect();
-    (app, assignment)
-}
-
-impl AdmissionService for ResourceManager {
-    /// Admissions are routed to `request.target` (a shard index) or the
-    /// least-loaded shard (a deterministic function of the resident mix, so
-    /// all shards fill evenly and journaled decisions stay replayable), and
-    /// never wait: a full shard answers [`AdmissionDecision::Saturated`].
-    fn admit(&self, request: &AdmissionRequest) -> Result<AdmissionDecision, ServiceError> {
-        let state = self.service_state();
-        let spec = state.spec.get().ok_or(ServiceError::NoWorkload)?;
-        let app_index = request.app_index % spec.application_count();
-        let (app, assignment) = instantiate(spec, app_index);
-        let shard = match request.target {
-            Some(shard) if shard >= self.shard_count() => {
-                return Err(ServiceError::UnknownDomain(shard))
-            }
-            Some(shard) => shard,
-            None => self.least_loaded_shard(),
-        };
-        match ResourceManager::admit(self, shard, app, &assignment, request.required_throughput) {
-            Ok(Admission::Admitted(ticket)) => {
-                let resident = state.next_resident.fetch_add(1, Ordering::Relaxed);
-                let predicted_period = ticket.predicted_period().unwrap_or(Rational::ZERO);
-                lock(&state.residents).insert(resident, ticket);
-                Ok(AdmissionDecision::Admitted {
-                    resident,
-                    domain: shard,
-                    predicted_period,
-                })
-            }
-            Ok(Admission::Rejected { violations }) => Ok(AdmissionDecision::Rejected {
-                domain: shard,
-                violations,
-            }),
-            Err(AdmitError::Saturated) => Ok(AdmissionDecision::Saturated { domain: shard }),
-            Err(AdmitError::Stopped) => Err(ServiceError::Stopped),
-            Err(AdmitError::InvalidShard(s)) => Err(ServiceError::UnknownDomain(s)),
-            Err(AdmitError::Analysis(e)) => Err(ServiceError::Analysis(e)),
-        }
-    }
-
-    fn release(&self, resident: u64) -> Result<(), ServiceError> {
-        let ticket = lock(&self.service_state().residents).remove(&resident);
-        match ticket {
-            Some(ticket) => {
-                ticket.release();
-                Ok(())
-            }
-            None => Err(ServiceError::UnknownResident(resident)),
-        }
-    }
-
-    fn snapshot(&self) -> ServiceSnapshot {
-        let metrics = self.metrics();
-        ServiceSnapshot {
-            residents: self.resident_count(),
-            capacity: self.capacity(),
-            admitted: metrics.admitted(),
-            rejected: metrics.rejected(),
-            saturated: metrics.saturated(),
-            released: metrics.released(),
-            layers: vec![LayerMetrics::new("manager")
-                .counter("shards", self.shard_count() as u64)
-                .counter("stopped_rejections", metrics.stopped_rejections())
-                .counter("analysis_errors", metrics.analysis_errors())],
-        }
-    }
-
-    fn workload(&self) -> Option<&SystemSpec> {
-        self.service_state().spec.get()
-    }
-}
 
 impl AdmissionService for FleetManager {
     /// Admissions go through the fleet's routing policy (or
@@ -990,7 +868,7 @@ impl AdmissionService for FleetManager {
 }
 
 // ---------------------------------------------------------------------------
-// Middleware: Cached, Journaled.
+// Middleware: Cached.
 // ---------------------------------------------------------------------------
 
 /// Estimate-caching middleware: serves
@@ -1168,136 +1046,11 @@ impl<S: AdmissionService> AdmissionService for Cached<S> {
     }
 }
 
-/// Journal-recording middleware: appends every decision of *any* wrapped
-/// service — not just fleets — to an append-only, checksummed
-/// [`Journal`].
-///
-/// Decision and append happen under one internal lock, so the journal
-/// order is a valid serialization of the decision order even under
-/// concurrent submission — the property
-/// [`JournalReplayer`](crate::JournalReplayer) rests on. (The lock
-/// serializes decisions across domains; services needing per-domain
-/// parallelism at scale keep their own internal journals, like the
-/// [`FleetManager`] does.)
-///
-/// The recorded journal feeds more than verification: entries are stamped
-/// with the appending thread's [`ClientScope`](crate::ClientScope) (how a
-/// [`RemoteServer`](crate::RemoteServer) attributes decisions per
-/// connection), and the capacity planner's [`PlanRun`](crate::PlanRun)
-/// replays any recorded journal against hypothetical
-/// [`FleetShape`](crate::FleetShape)s — stamp the shape fields with
-/// [`with_header`](Self::with_header) so those consumers can rebuild the
-/// recorded fleet.
-#[derive(Debug)]
-pub struct Journaled<S> {
-    inner: S,
-    journal: Journal,
-    order: Mutex<()>,
-}
-
-impl<S: AdmissionService> Journaled<S> {
-    /// Journaling layer with a default header.
-    pub fn new(inner: S) -> Journaled<S> {
-        Journaled::with_header(inner, JournalHeader::default())
-    }
-
-    /// Journaling layer with an explicit header (stamp the workload and
-    /// shape fields so the journal file is self-contained for replay).
-    pub fn with_header(inner: S, header: JournalHeader) -> Journaled<S> {
-        Journaled {
-            inner,
-            journal: Journal::new(header),
-            order: Mutex::new(()),
-        }
-    }
-
-    /// The wrapped service.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
-    /// The layer's decision journal.
-    pub fn journal(&self) -> &Journal {
-        &self.journal
-    }
-}
-
-impl<S: AdmissionService> AdmissionService for Journaled<S> {
-    fn admit(&self, request: &AdmissionRequest) -> Result<AdmissionDecision, ServiceError> {
-        let _order = lock(&self.order);
-        let decision = self.inner.admit(request)?;
-        let outcome = match &decision {
-            AdmissionDecision::Admitted {
-                resident,
-                predicted_period,
-                ..
-            } => JournalOutcome::Admitted {
-                resident: *resident,
-                predicted_period: *predicted_period,
-            },
-            AdmissionDecision::Rejected { violations, .. } => JournalOutcome::Rejected {
-                violations: violations.len() as u64,
-            },
-            AdmissionDecision::Saturated { .. } => JournalOutcome::Saturated,
-        };
-        self.journal.append(DecisionEvent::Admit {
-            group: decision.domain() as u64,
-            app_index: request.app_index as u64,
-            required_throughput: request.required_throughput,
-            outcome,
-            affinity: request.affinity.clone(),
-        });
-        Ok(decision)
-    }
-
-    fn release(&self, resident: u64) -> Result<(), ServiceError> {
-        let _order = lock(&self.order);
-        self.inner.release(resident)?;
-        self.journal.append(DecisionEvent::Release { resident });
-        Ok(())
-    }
-
-    fn snapshot(&self) -> ServiceSnapshot {
-        let mut snapshot = self.inner.snapshot();
-        snapshot
-            .layers
-            .push(LayerMetrics::new("journaled").counter("entries", self.journal.len() as u64));
-        snapshot
-    }
-
-    fn workload(&self) -> Option<&SystemSpec> {
-        self.inner.workload()
-    }
-
-    fn estimate(&self, use_case: UseCase, method: Method) -> Result<Arc<Estimate>, ServiceError> {
-        // Estimates change no state and are not journaled.
-        self.inner.estimate(use_case, method)
-    }
-
-    fn telemetry(&self) -> TelemetrySnapshot {
-        let mut telemetry = self.inner.telemetry();
-        telemetry
-            .service
-            .layers
-            .push(LayerMetrics::new("journaled").counter("entries", self.journal.len() as u64));
-        telemetry
-    }
-
-    fn trace_tail(&self, limit: usize) -> Vec<TraceEvent> {
-        self.inner.trace_tail(limit)
-    }
-
-    fn trace_recorder(&self) -> Option<Arc<TraceRecorder>> {
-        self.inner.trace_recorder()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fleet::{FleetConfig, RoutingPolicy};
-    use crate::manager::ResourceManagerConfig;
-    use platform::{Application, Mapping};
+    use platform::{AppId, Application, Mapping};
     use sdf::figure2_graphs;
 
     fn spec() -> SystemSpec {
@@ -1308,15 +1061,6 @@ mod tests {
             .mapping(Mapping::by_actor_index(3))
             .build()
             .unwrap()
-    }
-
-    fn bound_manager(shards: usize, capacity: usize) -> ResourceManager {
-        let manager = ResourceManager::new(ResourceManagerConfig {
-            shards,
-            capacity_per_shard: capacity,
-        });
-        assert!(manager.bind_workload(spec()));
-        manager
     }
 
     fn fleet(groups: usize, capacity: usize) -> FleetManager {
@@ -1339,64 +1083,51 @@ mod tests {
         assert_eq!(request.target, Some(2));
     }
 
-    #[test]
-    fn manager_service_roundtrip() {
-        let manager = bound_manager(1, 2);
-        let decision = AdmissionService::admit(&manager, &AdmissionRequest::new(0)).unwrap();
-        let AdmissionDecision::Admitted {
-            resident,
-            domain,
-            predicted_period,
-        } = decision
-        else {
-            panic!("first admission fits");
-        };
-        assert_eq!(domain, 0);
-        assert!(predicted_period.is_positive());
-        assert_eq!(manager.resident_count(), 1);
-        manager.release(resident).unwrap();
-        assert_eq!(manager.resident_count(), 0);
-        assert_eq!(
-            manager.release(resident).unwrap_err(),
-            ServiceError::UnknownResident(resident)
-        );
+    /// A service without a workload spec: every method the trait does
+    /// not default answers `NoWorkload` or nothing.
+    struct Unbound;
+
+    impl AdmissionService for Unbound {
+        fn admit(&self, _: &AdmissionRequest) -> Result<AdmissionDecision, ServiceError> {
+            Err(ServiceError::NoWorkload)
+        }
+
+        fn release(&self, resident: u64) -> Result<(), ServiceError> {
+            Err(ServiceError::UnknownResident(resident))
+        }
+
+        fn snapshot(&self) -> ServiceSnapshot {
+            ServiceSnapshot::default()
+        }
+
+        fn workload(&self) -> Option<&SystemSpec> {
+            None
+        }
     }
 
     #[test]
-    fn manager_service_saturates_and_validates_domain() {
-        let manager = bound_manager(1, 1);
-        let first = AdmissionService::admit(&manager, &AdmissionRequest::new(0).on(0)).unwrap();
-        assert!(first.is_admitted());
-        // Full shard: a service admission saturates instead of waiting.
-        let second = AdmissionService::admit(&manager, &AdmissionRequest::new(1).on(0)).unwrap();
-        assert_eq!(second, AdmissionDecision::Saturated { domain: 0 });
+    fn unbound_service_requires_workload() {
+        // The default estimate has no spec to estimate from ...
         assert_eq!(
-            AdmissionService::admit(&manager, &AdmissionRequest::new(0).on(9)).unwrap_err(),
-            ServiceError::UnknownDomain(9)
-        );
-        let snapshot = AdmissionService::snapshot(&manager);
-        assert_eq!(snapshot.residents, 1);
-        assert_eq!(snapshot.capacity, 1);
-        assert_eq!(snapshot.admitted, 1);
-        assert_eq!(snapshot.saturated, 1);
-        assert_eq!(snapshot.counter("manager", "shards"), Some(1));
-    }
-
-    #[test]
-    fn unbound_manager_requires_workload() {
-        let manager = ResourceManager::new(ResourceManagerConfig::default());
-        assert_eq!(
-            AdmissionService::admit(&manager, &AdmissionRequest::new(0)).unwrap_err(),
+            Unbound
+                .estimate(UseCase::full(2), Method::SECOND_ORDER)
+                .unwrap_err(),
             ServiceError::NoWorkload
         );
-        assert!(manager.workload().is_none());
-        assert!(manager
-            .estimate(UseCase::full(2), Method::SECOND_ORDER)
-            .is_err());
-        // The first bind wins; rebinding is refused.
-        assert!(manager.bind_workload(spec()));
-        assert!(!manager.bind_workload(spec()));
-        assert!(manager.workload().is_some());
+        // ... and a cache layer neither fingerprints nor warms without one.
+        let cached = Cached::new(Unbound, 4);
+        assert_eq!(
+            cached
+                .estimate(UseCase::full(2), Method::SECOND_ORDER)
+                .unwrap_err(),
+            ServiceError::NoWorkload
+        );
+        let report = experiments::signoff::sign_off(&spec(), Method::Composability, None).unwrap();
+        assert_eq!(
+            cached.warm_from_signoff(&report).unwrap_err(),
+            ServiceError::NoWorkload
+        );
+        assert_eq!((cached.cache().hits(), cached.cache().misses()), (0, 0));
     }
 
     #[test]
@@ -1435,29 +1166,6 @@ mod tests {
             AdmissionService::snapshot(&f).counter("fleet", "journal_entries"),
             Some(3)
         );
-    }
-
-    #[test]
-    fn decision_from_outcome_conversion() {
-        let (a, _) = figure2_graphs();
-        let mut ctrl = contention::AdmissionController::new();
-        let outcome = ctrl
-            .admit(
-                Application::new("A", a).unwrap(),
-                &[NodeId(0), NodeId(1), NodeId(2)],
-                None,
-            )
-            .unwrap();
-        let decision = AdmissionDecision::from((3usize, &outcome));
-        assert_eq!(
-            decision,
-            AdmissionDecision::Admitted {
-                resident: 0,
-                domain: 3,
-                predicted_period: Rational::integer(300),
-            }
-        );
-        assert!(decision.to_string().contains("domain 3"));
     }
 
     #[test]
@@ -1505,40 +1213,10 @@ mod tests {
     }
 
     #[test]
-    fn journaled_layer_records_decisions_and_releases() {
-        let journaled = Journaled::new(fleet(1, 1));
-        let admitted = journaled.admit(&AdmissionRequest::new(0)).unwrap();
-        let saturated = journaled.admit(&AdmissionRequest::new(1)).unwrap();
-        assert!(matches!(saturated, AdmissionDecision::Saturated { .. }));
-        journaled.release(admitted.resident().unwrap()).unwrap();
-        let events = journaled.journal().events();
-        assert_eq!(events.len(), 3);
-        assert!(matches!(
-            &events[0],
-            DecisionEvent::Admit {
-                outcome: JournalOutcome::Admitted { .. },
-                ..
-            }
-        ));
-        assert!(matches!(
-            &events[1],
-            DecisionEvent::Admit {
-                outcome: JournalOutcome::Saturated,
-                ..
-            }
-        ));
-        assert!(matches!(&events[2], DecisionEvent::Release { .. }));
-        journaled.journal().verify().unwrap();
-        // Failed releases journal nothing.
-        assert!(journaled.release(99).is_err());
-        assert_eq!(journaled.journal().len(), 3);
-    }
-
-    #[test]
     fn traced_layer_samples_every_class() {
         use crate::telemetry::{ServiceOp, Traced};
 
-        let traced = Traced::new(Cached::new(bound_manager(2, 4), 8), 64);
+        let traced = Traced::new(Cached::new(fleet(2, 4), 8), 64);
         let decision = traced.admit(&AdmissionRequest::new(0)).unwrap();
         traced
             .estimate(UseCase::full(2), Method::Composability)
@@ -1618,8 +1296,10 @@ traced       admit             120       40      210      300      480     1200 
 
     #[test]
     fn composition_order_is_equivalent() {
-        let a = Cached::new(Journaled::new(fleet(2, 2)), 8);
-        let b = Journaled::new(Cached::new(fleet(2, 2), 8));
+        use crate::telemetry::Traced;
+
+        let a = Cached::new(Traced::new(fleet(2, 2), 16), 8);
+        let b = Traced::new(Cached::new(fleet(2, 2), 8), 16);
         let bare = fleet(2, 2);
         let requests = [
             AdmissionRequest::new(0),
@@ -1632,7 +1312,15 @@ traced       admit             120       40      210      300      480     1200 
             assert_eq!(a.admit(request).unwrap(), expected);
             assert_eq!(b.admit(request).unwrap(), expected);
         }
-        assert_eq!(a.inner().journal().events(), b.journal().events());
+        // Each stack's fleet journaled the same stream as the bare fleet.
+        assert_eq!(
+            a.inner().inner().journal().events(),
+            bare.journal().events()
+        );
+        assert_eq!(
+            b.inner().inner().journal().events(),
+            bare.journal().events()
+        );
     }
 
     #[test]
@@ -1671,8 +1359,8 @@ traced       admit             120       40      210      300      480     1200 
 
     #[test]
     fn default_submit_completes_synchronously() {
-        let manager = bound_manager(1, 2);
-        let completion = manager.submit(AdmissionRequest::new(0));
+        let fleet = fleet(1, 2);
+        let completion = fleet.submit(AdmissionRequest::new(0));
         assert!(completion.is_ready());
         assert!(completion.wait().unwrap().is_admitted());
     }

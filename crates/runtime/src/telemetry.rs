@@ -13,8 +13,8 @@
 //! * [`TraceRecorder`] / [`TraceEvent`] — a fixed-capacity ring-buffer
 //!   flight recorder of structured decision events, fed by the
 //!   [`Traced`] middleware (which composes like
-//!   [`Cached`](crate::Cached) / [`Journaled`](crate::Journaled) and is
-//!   also the one layer that times every operation) and by
+//!   [`Cached`](crate::Cached) and is also the one layer that times every
+//!   operation) and by
 //!   instrumentation points in [`FrontEnd`](crate::FrontEnd) and the
 //!   remote transport.
 //! * [`TelemetrySnapshot`] — the exposition surface aggregating the
@@ -1148,10 +1148,9 @@ impl ServiceOp {
 /// [`LatencyHistogram`] per [`ServiceOp`] class. Memory stays flat no
 /// matter how many operations are recorded.
 ///
-/// Composes like [`Cached`](crate::Cached) /
-/// [`Journaled`](crate::Journaled) and is decision-transparent: it never
-/// changes an outcome, only observes it (see the byte-identical-journal
-/// test in `tests/telemetry.rs`).
+/// Composes like [`Cached`](crate::Cached) and is decision-transparent: it
+/// never changes an outcome, only observes it (see the
+/// byte-identical-journal test in `tests/telemetry.rs`).
 #[derive(Debug)]
 pub struct Traced<S> {
     inner: S,

@@ -5,16 +5,17 @@
 //! contracts onto a capacity-bounded shard; a fourth client serves
 //! repeated use-case queries through the estimate cache. Demonstrates
 //! ticket-based admit/release, contract rejections, non-blocking
-//! admission (a full shard answers `Saturated` at once), driving the same manager through the unified `AdmissionService` stack,
-//! and graceful stop.
+//! admission (a full shard answers `Saturated` at once), the same shape
+//! served as a one-group fleet through the unified `AdmissionService`
+//! stack, and graceful stop.
 //!
 //! Run with: `cargo run --release --example online_resource_manager`
 
 use contention::Method;
 use platform::{Application, NodeId, SystemSpec, UseCase};
 use runtime::{
-    Admission, AdmissionRequest, AdmissionService, Cached, EstimateCache, ResourceManager,
-    ResourceManagerConfig,
+    Admission, AdmissionRequest, AdmissionService, AdmitError, Cached, EstimateCache, FleetConfig,
+    FleetManager, ResourceManager, ResourceManagerConfig, RoutingPolicy,
 };
 use sdf::{figure2_graphs, Rational};
 use std::sync::Arc;
@@ -34,6 +35,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // (predicted period 1075/3 ≈ 358.3 < 300/0.7 ≈ 428.6) but a third
     // would break the contracts — it is rejected, consuming no capacity.
     let contract = Rational::new(7, 10) * Rational::new(1, 300);
+    // Outcome tally of the three clients: admitted, rejected, saturated.
+    let mut tally = [0usize; 3];
     let tickets = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..3)
             .map(|i| {
@@ -56,6 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .filter_map(
                 |(i, h)| match h.join().expect("client thread does not panic") {
                     Ok(Admission::Admitted(ticket)) => {
+                        tally[0] += 1;
                         println!(
                             "client-{i}: admitted as {} (predicted period {})",
                             ticket.app_id(),
@@ -64,12 +68,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                         Some(ticket)
                     }
                     Ok(Admission::Rejected { violations }) => {
+                        tally[1] += 1;
                         for v in &violations {
                             println!("client-{i}: rejected — {v}");
                         }
                         None
                     }
                     Err(e) => {
+                        if e == AdmitError::Saturated {
+                            tally[2] += 1;
+                        }
                         println!("client-{i}: no decision — {e}");
                         None
                     }
@@ -80,9 +88,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "residents: {} / capacity 3 (admitted {}, rejected {}, saturated {})",
         manager.resident_count(),
-        manager.metrics().admitted(),
-        manager.metrics().rejected(),
-        manager.metrics().saturated(),
+        tally[0],
+        tally[1],
+        tally[2],
     );
 
     println!("\n== estimate cache for repeated use-case queries ==");
@@ -114,12 +122,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         100.0 * cache.hit_rate(),
     );
 
-    println!("\n== the same manager as an AdmissionService stack ==");
-    // Bind the workload spec and the manager speaks the unified service
-    // vocabulary: spec-relative requests, shared decisions, estimate
-    // caching as middleware instead of a bolted-on cache.
-    manager.bind_workload(spec.clone());
-    let stack = Cached::new(manager.clone(), 16);
+    println!("\n== the same shape as an AdmissionService stack ==");
+    // A one-group fleet of one shard with capacity 3 — this manager's
+    // shape — speaks the unified service vocabulary: spec-relative
+    // requests, shared decisions, a journal of every decision, and
+    // estimate caching as middleware instead of a bolted-on cache.
+    let fleet = FleetManager::new(
+        spec.clone(),
+        FleetConfig::uniform(1, 1, 3, RoutingPolicy::LeastUtilised),
+    )?;
+    let stack = Cached::new(fleet, 16);
     let decision = stack.admit(&AdmissionRequest::new(1).on(0))?;
     println!("service admit: {decision}");
     stack.estimate(UseCase::full(2), Method::SECOND_ORDER)?;

@@ -1,5 +1,5 @@
 //! The fully-instrumented admission stack:
-//! `Traced<Cached<Journaled<FleetManager>>>` under concurrent
+//! `Traced<Cached<FleetManager>>` under concurrent
 //! load, with the flight recorder shared between the `Traced` shell and
 //! the cache layer (which owns estimate hit/miss events), a manual
 //! rebalance span, Prometheus exposition of every layer's bounded
@@ -10,7 +10,7 @@
 use experiments::workload::workload_with;
 use runtime::{
     run_stack, seeded_fleet_requests, AdmissionService, Cached, FleetConfig, FleetManager,
-    Journaled, RoutingPolicy, TraceEvent, TraceKind, TraceRecorder, Traced,
+    RoutingPolicy, TraceEvent, TraceKind, TraceRecorder, Traced,
 };
 use sdf::GeneratorConfig;
 use std::sync::Arc;
@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // cache layer records estimate spans with hit/miss flags, everything
     // else is recorded by the outermost `Traced` shell.
     let recorder = Arc::new(TraceRecorder::new(2048));
-    let cached = Cached::new(Journaled::new(fleet.clone()), 64);
+    let cached = Cached::new(fleet.clone(), 64);
     cached.attach_trace(Arc::clone(&recorder));
     let stack = Traced::with_recorder(cached, Arc::clone(&recorder));
 

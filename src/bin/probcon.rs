@@ -90,8 +90,7 @@ USAGE:
       so the recording replays and plans like any other. Local only — a
       remote fleet's shape is the server's to scale. --wire picks the
       frame encoding requested at handshake (default binary; json for
-      greppable frames or pre-v4 servers — either way the negotiated mode
-      is printed). --connections opens <n> client connections to the one
+      greppable frames — either way the negotiated mode is printed). --connections opens <n> client connections to the one
       server and round-robins the request stream across them — the fan-in
       shape the readiness-loop server serves at flat memory.
 
@@ -128,8 +127,9 @@ USAGE:
       decision — an autoscaled run replays outcome-for-outcome and
       `probcon top --connect` shows the controller's live status line.
       --wire json forces greppable JSON-lines frames on every connection;
-      the default negotiates compact binary frames with any v4 client
-      that requests them (v3 clients always get JSON).
+      the default grants compact binary frames to any client that
+      requests them. Clients must speak protocol v4; any other version is
+      refused with the server's own.
 
   probcon top [--connect tcp:HOST:PORT|unix:PATH] [--watch <secs>] [--prometheus]
               [--connections] [--wire json|binary]

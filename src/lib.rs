@@ -19,12 +19,12 @@
 //! * [`experiments`] — runners regenerating Figure 5, Table 1, Figure 6 and
 //!   the timing comparison.
 //! * [`runtime`] — the concurrent online resource manager: one unified
-//!   `AdmissionService` trait implemented by the sharded ticket-based
-//!   `ResourceManager` and the multi-platform `FleetManager`, composable
+//!   `AdmissionService` trait implemented by the multi-platform
+//!   `FleetManager` (each group a sharded ticket-based `ResourceManager`;
+//!   every decision journaled for deterministic replay), composable
 //!   middleware layers (`Cached` estimate memoization with sign-off
-//!   warming, `Journaled` decision recording with deterministic replay,
-//!   `Traced` latency/throughput counters and flight recording), and the
-//!   async `FrontEnd` event loop multiplexing thousands of queued
+//!   warming, `Traced` latency/throughput counters and flight recording),
+//!   and the async `FrontEnd` event loop multiplexing thousands of queued
 //!   admissions over a small worker pool (`probcon fleet-bench` /
 //!   `replay`).
 //!

@@ -7,9 +7,9 @@
 
 use experiments::workload::workload_with;
 use runtime::{
-    run_stack, seeded_fleet_requests, AdmissionRequest, AdmissionService, DecisionEvent,
+    run_stack, seeded_fleet_requests, AdmissionRequest, AdmissionService, Cached, DecisionEvent,
     FleetConfig, FleetManager, FleetRequest, Journal, JournalHeader, JournalOutcome,
-    JournalReplayer, Journaled, ReplayReport, RoutingPolicy, JOURNAL_VERSION,
+    JournalReplayer, ReplayReport, RoutingPolicy, Traced, JOURNAL_VERSION,
 };
 use sdf::GeneratorConfig;
 
@@ -163,19 +163,18 @@ fn concurrent_recording_still_replays_equivalently() {
 }
 
 #[test]
-fn journaled_middleware_recording_replays_equivalently() {
-    // The middleware path of the replay oracle: record admissions and
-    // releases through a `Journaled<FleetManager>` service stack (NOT the
-    // fleet's internal journal), then replay the middleware journal with
-    // the standard `JournalReplayer`. The stack journals the same decision
-    // vocabulary, so the journal must replay outcome for outcome.
+fn service_stack_recording_replays_equivalently() {
+    // The service path of the replay oracle: drive admissions and releases
+    // by resident id through a `Traced<Cached<FleetManager>>` stack (not
+    // the fleet's ticket API), interleave the stream's rebalance passes on
+    // the fleet, then replay the fleet's journal with the standard
+    // `JournalReplayer`. The fleet journals every decision whichever path
+    // made it, rebalances included, so the journal is complete and must
+    // replay outcome for outcome.
     let spec = workload_with(SEED, APPS, &GeneratorConfig::with_actors(ACTORS)).expect("workload");
     let fleet = FleetManager::with_header(spec.clone(), config(), header()).expect("fleet");
-    let stack = Journaled::with_header(fleet.clone(), header());
+    let stack = Traced::new(Cached::new(fleet.clone(), 16), 64);
 
-    // Drive the seeded stream through the stack (admits/releases only —
-    // rebalances are a fleet operation and would bypass the middleware
-    // journal, making it incomplete).
     let mut held: Vec<u64> = Vec::new();
     let mut outcomes = (0u64, 0u64, 0u64); // admitted, rejected+saturated, released
     for request in seeded_fleet_requests(&spec, GROUPS, REQUESTS, SEED) {
@@ -207,8 +206,12 @@ fn journaled_middleware_recording_replays_equivalently() {
                     outcomes.2 += 1;
                 }
             }
-            // Skipped: see above.
-            FleetRequest::Rebalance | FleetRequest::Estimate { .. } => {}
+            FleetRequest::Rebalance => {
+                fleet.rebalance();
+            }
+            FleetRequest::Estimate { use_case, method } => {
+                stack.estimate(use_case, method).expect("estimates");
+            }
         }
     }
     for resident in held {
@@ -216,9 +219,17 @@ fn journaled_middleware_recording_replays_equivalently() {
     }
     assert!(outcomes.0 > 0 && outcomes.1 > 0, "{outcomes:?}");
 
-    // The middleware journal round-trips and replays equivalently.
-    let journal = Journal::parse(&stack.journal().render()).expect("round-trips");
-    assert_eq!(journal.len(), stack.journal().len());
+    // Every admit and release the stack decided is in the fleet's journal.
+    let journal = Journal::parse(&fleet.journal().render()).expect("round-trips");
+    let (admits, releases) = journal.events().iter().fold((0, 0), |(a, r), e| match e {
+        DecisionEvent::Admit { .. } => (a + 1, r),
+        DecisionEvent::Release { .. } => (a, r + 1),
+        _ => (a, r),
+    });
+    assert_eq!(admits, outcomes.0 + outcomes.1);
+    assert_eq!(releases, outcomes.0);
+
+    // The journal round-trips and replays equivalently.
     let (report, replayed) = JournalReplayer::new(&spec)
         .replay(&journal, config())
         .expect("replay");

@@ -364,9 +364,10 @@ proptest! {
     // Each case drives real admissions; keep the case count small.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    // The middleware-composition satellite: `Cached<Journaled<S>>` and
-    // `Journaled<Cached<S>>` produce identical decisions against the bare
-    // service, identical journals between each other, and the same holds
+    // The middleware-composition satellite: `Cached<Traced<S>>` and
+    // `Traced<Cached<S>>` produce identical decisions against the bare
+    // fleet, their wrapped fleets journal identical streams, and the same
+    // holds
     // when the stream is submitted concurrently (queued in bulk through a
     // single-worker `FrontEnd`, which drains the MPSC queue in submission
     // order — so the decision sequence stays comparable).
@@ -379,7 +380,7 @@ proptest! {
         use platform::Application;
         use runtime::{
             AdmissionService, Cached, Completion, FleetConfig, FleetManager, FrontEnd,
-            FrontEndConfig, Journaled, RoutingPolicy,
+            FrontEndConfig, RoutingPolicy, Traced,
         };
         use sdf::figure2_graphs;
 
@@ -407,21 +408,23 @@ proptest! {
             .collect();
 
         let bare = fleet(spec());
-        let cached_outer = Cached::new(Journaled::new(fleet(spec())), 8);
-        let journaled_outer = Journaled::new(Cached::new(fleet(spec()), 8));
+        let cached_outer = Cached::new(Traced::new(fleet(spec()), 64), 8);
+        let traced_outer = Traced::new(Cached::new(fleet(spec()), 8), 64);
 
         // Sequential application: identical decision for every request.
         for request in &requests {
             let expected = AdmissionService::admit(&bare, request).unwrap();
             prop_assert_eq!(&cached_outer.admit(request).unwrap(), &expected);
-            prop_assert_eq!(&journaled_outer.admit(request).unwrap(), &expected);
+            prop_assert_eq!(&traced_outer.admit(request).unwrap(), &expected);
         }
-        // Both Journaled layers recorded the identical decision stream.
+        // Both wrapped fleets journaled the identical decision stream.
+        let cached_outer_journal = cached_outer.inner().inner().journal();
         prop_assert_eq!(
-            cached_outer.inner().journal().events(),
-            journaled_outer.journal().events()
+            cached_outer_journal.events(),
+            traced_outer.inner().inner().journal().events()
         );
-        cached_outer.inner().journal().verify()
+        prop_assert_eq!(cached_outer_journal.events(), bare.journal().events());
+        cached_outer_journal.verify()
             .map_err(|e| TestCaseError::fail(e.to_string()))?;
 
         // Concurrent submission: queue the whole stream through a
@@ -433,10 +436,17 @@ proptest! {
             .iter()
             .map(|r| AdmissionService::admit(&bare2, r).unwrap())
             .collect();
-        for stack in [
-            Box::new(Cached::new(Journaled::new(fleet(spec())), 8))
-                as Box<dyn AdmissionService>,
-            Box::new(Journaled::new(Cached::new(fleet(spec()), 8))),
+        let (inner_fleet, outer_fleet) = (fleet(spec()), fleet(spec()));
+        for (stack, wrapped) in [
+            (
+                Box::new(Cached::new(Traced::new(inner_fleet.clone(), 64), 8))
+                    as Box<dyn AdmissionService>,
+                &inner_fleet,
+            ),
+            (
+                Box::new(Traced::new(Cached::new(outer_fleet.clone(), 8), 64)),
+                &outer_fleet,
+            ),
         ] {
             let front = FrontEnd::new(stack, FrontEndConfig {
                 workers: 1,
@@ -450,6 +460,7 @@ proptest! {
                 prop_assert_eq!(&completion.wait().unwrap(), expected);
             }
             front.shutdown();
+            prop_assert_eq!(wrapped.journal().events(), bare2.journal().events());
         }
     }
 }

@@ -8,7 +8,7 @@
 use platform::{Application, Mapping, SystemSpec};
 use runtime::{
     AdmissionRequest, AdmissionService, Completion, Endpoint, FleetConfig, FleetManager,
-    RemoteClient, RemoteServer, RemoteServerConfig, RoutingPolicy, ServiceError, WireMode,
+    RemoteClient, RemoteServer, RemoteServerConfig, RoutingPolicy, ServiceError,
     REMOTE_PROTOCOL_VERSION,
 };
 use sdf::figure2_graphs;
@@ -447,52 +447,52 @@ fn close_with_pipelined_submissions_outstanding_resolves_not_hangs() {
 }
 
 // ---------------------------------------------------------------------------
-// Version downgrade against older servers.
+// Retired protocol versions.
 // ---------------------------------------------------------------------------
 
 #[test]
-fn v4_client_downgrades_to_v3_server_transparently() {
+fn v4_client_facing_a_v3_only_server_fails_with_a_typed_version_error() {
     with_watchdog(|| {
         let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
         let addr = Endpoint::Tcp(listener.local_addr().expect("addr").to_string());
         let (tx, rx) = mpsc::channel();
         std::thread::spawn(move || {
-            // A v3 server refuses the v4 hello by naming the version it
-            // does speak, then closes.
+            // A v3-only server refuses the v4 hello by naming the version
+            // it speaks, then closes.
             let (mut conn, _) = listener.accept().expect("first connection");
-            consume_client_hello(&mut conn);
+            conn.set_read_timeout(Some(Duration::from_secs(10)))
+                .expect("timeout");
+            let hello = read_one_frame(&mut conn).expect("client hello arrives");
             let refusal =
                 "{\"magic\":\"probcon-remote\",\"version\":3,\"workload\":null,\"domains\":1}";
             writeln!(conn, "{} {refusal}", refusal.len()).expect("refusal hello");
             drop(conn);
-            // The client reconnects fresh, speaking v3 this time.
-            let (mut conn, _) = listener.accept().expect("second connection");
-            conn.set_read_timeout(Some(Duration::from_secs(10)))
-                .expect("timeout");
-            let hello = read_one_frame(&mut conn).expect("v3 client hello");
-            tx.send(hello).expect("hello forwarded");
-            let reply =
-                "{\"magic\":\"probcon-remote\",\"version\":3,\"workload\":null,\"domains\":1}";
-            writeln!(conn, "{} {reply}", reply.len()).expect("v3 accept");
-            // Stay connected until the client hangs up.
-            let mut sink = [0u8; 256];
-            while matches!(conn.read(&mut sink), Ok(n) if n > 0) {}
+            tx.send((hello, listener)).expect("listener handed back");
         });
-        let client = RemoteClient::connect(&addr).expect("downgrade handshake succeeds");
-        // Downgraded connections always speak JSON lines.
-        assert_eq!(client.wire_mode(), WireMode::Json);
-        let hello = rx
+        match RemoteClient::connect(&addr) {
+            Err(ServiceError::Transport(msg)) => {
+                assert!(
+                    msg.contains("version mismatch")
+                        && msg.contains(&format!("client {REMOTE_PROTOCOL_VERSION}"))
+                        && msg.contains("server 3"),
+                    "mismatch error must name both versions: {msg}"
+                );
+            }
+            other => panic!("expected transport error, got {other:?}"),
+        }
+        let (hello, listener) = rx
             .recv_timeout(Duration::from_secs(5))
-            .expect("second hello");
+            .expect("fake server finished");
         assert!(
-            hello.contains("\"version\":3"),
-            "reconnect must speak the server's version: {hello}"
+            hello.contains(&format!("\"version\":{REMOTE_PROTOCOL_VERSION}")),
+            "the client speaks only its own version: {hello}"
         );
+        // The client gave up instead of reconnecting at the older version.
+        listener.set_nonblocking(true).expect("nonblocking");
         assert!(
-            !hello.contains("wire"),
-            "a v3 hello must not request a codec: {hello}"
+            matches!(listener.accept(), Err(e) if e.kind() == std::io::ErrorKind::WouldBlock),
+            "no second connection attempt"
         );
-        client.close();
     });
 }
 

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use runtime::telemetry::BUCKET_COUNT;
 use runtime::{
     build_span_trees, run_stack, seeded_fleet_requests, AdmissionRequest, AdmissionService,
-    FleetConfig, FleetManager, FrontEnd, FrontEndConfig, HistogramRecorder, Journal, Journaled,
+    FleetConfig, FleetManager, FrontEnd, FrontEndConfig, HistogramRecorder, Journal,
     LatencyHistogram, RoutingPolicy, ServiceOp, SpanContext, SpanNode, TraceEvent, TraceKind,
     TraceRecorder, Traced,
 };
@@ -124,25 +124,24 @@ fn rendered_without_timestamps(journal: &Journal) -> Vec<String> {
     })
 }
 
-/// Wrapping a journaling stack in `Traced` changes nothing the journal
-/// records: same events, same checksums, byte-identical rendering modulo
-/// wall-clock timestamps.
+/// Wrapping a fleet in `Traced` changes nothing its journal records: same
+/// events, same checksums, byte-identical rendering modulo wall-clock
+/// timestamps.
 #[test]
 fn traced_layer_is_journal_transparent() {
     let plain_fleet = fleet();
-    let plain = Journaled::new(plain_fleet.clone());
-    drive(&plain, &plain_fleet);
+    drive(&plain_fleet, &plain_fleet);
 
     let traced_fleet = fleet();
-    let traced = Traced::new(Journaled::new(traced_fleet.clone()), 1024);
+    let traced = Traced::new(traced_fleet.clone(), 1024);
     drive(&traced, &traced_fleet);
 
-    assert_eq!(
-        rendered_without_timestamps(plain.journal()),
-        rendered_without_timestamps(traced.inner().journal()),
-    );
     // The single-threaded seeded run is deterministic end to end, so the
-    // two fleets' internal journals agree event-for-event too.
+    // two fleets' journals agree entry for entry.
+    assert_eq!(
+        rendered_without_timestamps(plain_fleet.journal()),
+        rendered_without_timestamps(traced_fleet.journal()),
+    );
     assert_eq!(
         plain_fleet.journal().events(),
         traced_fleet.journal().events()

@@ -13,8 +13,8 @@ use runtime::remote::{
     ClientHello, ServerHello, WireBody, WireFault, WireOp, WireRequest, WireResponse,
 };
 use runtime::{
-    AdmissionRequest, AdmissionService, Cached, FleetConfig, FleetManager, Journaled,
-    RoutingPolicy, TraceRecorder, Traced,
+    AdmissionRequest, AdmissionService, Cached, FleetConfig, FleetManager, RoutingPolicy,
+    TraceRecorder, Traced,
 };
 use sdf::{figure2_graphs, Rational};
 use serde::{Deserialize, Serialize};
@@ -116,17 +116,14 @@ fn every_wire_body_variant_crosses_both_codecs_identically() {
     )
     .expect("valid fleet");
     let recorder = Arc::new(TraceRecorder::new(64));
-    let stack = Traced::with_recorder(
-        Journaled::new(Cached::new(fleet, 16)),
-        Arc::clone(&recorder),
-    );
+    let stack = Traced::with_recorder(Cached::new(fleet.clone(), 16), Arc::clone(&recorder));
     let decision = stack.admit(&AdmissionRequest::new(0)).expect("admits");
     let resident = decision.resident().expect("admitted");
     let estimate = stack
         .estimate(UseCase::from_mask(0b11), "exact".parse().expect("method"))
         .expect("estimates");
     stack.release(resident).expect("releases");
-    let journal = stack.inner().journal();
+    let journal = fleet.journal();
     let page = journal.render_page(0, 2).expect("page");
     let mut telemetry = stack.telemetry();
     // The trailing-Option field, populated: an elastic controller's
@@ -247,7 +244,7 @@ proptest! {
 /// The `span` field of [`AdmissionRequest`] is trailing and skip-none: a
 /// peer that predates spans ships frames without the key, and those
 /// frames round-trip unchanged on both codecs — span propagation can
-/// never break interop with v3/v4 peers.
+/// never break interop with peers that predate spans.
 #[test]
 fn span_context_field_is_wire_backward_compatible() {
     use runtime::SpanContext;
